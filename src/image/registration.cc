@@ -1,7 +1,9 @@
 #include "image/registration.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 
 #include "image/interpolate.h"
 #include "image/resample.h"
@@ -102,42 +104,63 @@ Result<RegistrationResult> RegisterRigid(const Volume3D& reference,
   return result;
 }
 
+namespace {
+
+// Registers frame t of `run` to `reference` and writes its transform, its
+// resampled voxels and its degraded flag — frame t's slots only.
+Status CorrectFrame(const Volume4D& run, const Volume3D& reference,
+                    std::size_t t, const RegistrationOptions& options,
+                    RigidTransform* motion, float* corrected,
+                    char* degraded) {
+  const Volume3D frame = run.ExtractVolume(t);
+  // A fault injected at this point behaves exactly like the frame's
+  // registration failing, so it exercises the fallback path too.
+  Status injected = Status::OK();
+  if (fault::Enabled()) {
+    injected = fault::InjectedError("pipeline.motion_correct", t);
+  }
+  Result<RegistrationResult> reg =
+      injected.ok() ? RegisterRigid(reference, frame, options)
+                    : Result<RegistrationResult>(injected);
+  if (!reg.ok()) {
+    if (!options.identity_fallback_on_failure) return reg.status();
+    // Degrade instead of failing: the frame stays unregistered under the
+    // identity transform (its motion and voxels already hold that).
+    *degraded = 1;
+    return Status::OK();
+  }
+  *motion = reg->transform;
+  if (!reg->transform.IsApproxIdentity(1e-9)) {
+    auto resampled = ResampleRigid(frame, reg->transform);
+    if (!resampled.ok()) return resampled.status();
+    std::copy(resampled->flat().begin(), resampled->flat().end(), corrected);
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<MotionCorrectionResult> MotionCorrect(
-    const Volume4D& run, const RegistrationOptions& options) {
+    const Volume4D& run, const RegistrationOptions& options,
+    const ParallelContext& parallel) {
   if (run.empty()) return Status::InvalidArgument("MotionCorrect: empty run");
   MotionCorrectionResult out;
   out.corrected = run;
   out.motion.resize(run.nt());
+  std::vector<char> degraded(run.nt(), 0);
 
   const Volume3D reference = run.ExtractVolume(0);
+  // Grain 1: each chunk is the single frame [t, t + 1).
+  NP_RETURN_IF_ERROR(ParallelForStatus(
+      parallel, 1, run.nt(), 1, [&](std::size_t t, std::size_t) -> Status {
+        return CorrectFrame(run, reference, t, options, &out.motion[t],
+                            out.corrected.VolumePtr(t), &degraded[t]);
+      }));
   for (std::size_t t = 1; t < run.nt(); ++t) {
-    const Volume3D frame = run.ExtractVolume(t);
-    // A fault injected at this point behaves exactly like the frame's
-    // registration failing, so it exercises the fallback path too.
-    Status injected = Status::OK();
-    if (fault::Enabled()) {
-      injected = fault::InjectedError("pipeline.motion_correct", t);
-    }
-    Result<RegistrationResult> reg =
-        injected.ok() ? RegisterRigid(reference, frame, options)
-                      : Result<RegistrationResult>(injected);
-    if (!reg.ok()) {
-      if (!options.identity_fallback_on_failure) return reg.status();
-      // Degrade instead of failing: the frame stays unregistered under
-      // the identity transform (out.corrected already holds it).
-      out.motion[t] = RigidTransform{};
-      out.degraded_frames.push_back(t);
-      metrics::Count("pipeline.frames_degraded", 1);
-      continue;
-    }
-    out.motion[t] = reg->transform;
-    if (!reg->transform.IsApproxIdentity(1e-9)) {
-      auto resampled = ResampleRigid(frame, reg->transform);
-      if (!resampled.ok()) return resampled.status();
-      out.corrected.SetVolume(t, *resampled);
-    }
+    if (degraded[t]) out.degraded_frames.push_back(t);
   }
   if (!out.degraded_frames.empty()) {
+    metrics::Count("pipeline.frames_degraded", out.degraded_frames.size());
     metrics::Count("pipeline.scans_degraded", 1);
   }
   return out;

@@ -11,6 +11,7 @@
 #include "image/affine.h"
 #include "image/volume.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace neuroprint::image {
 
@@ -56,8 +57,13 @@ struct MotionCorrectionResult {
   std::vector<std::size_t> degraded_frames;
 };
 
+/// Registers frames 1..nt-1 in parallel. A frame's result depends only on
+/// (frame 0, that frame), so the output is bitwise-identical at any thread
+/// count; on failure the error is that of the lowest failing frame, the
+/// one a serial loop would stop at.
 Result<MotionCorrectionResult> MotionCorrect(
-    const Volume4D& run, const RegistrationOptions& options = {});
+    const Volume4D& run, const RegistrationOptions& options = {},
+    const ParallelContext& parallel = {});
 
 }  // namespace neuroprint::image
 

@@ -1,5 +1,6 @@
 #include "image/smooth.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -7,8 +8,16 @@ namespace neuroprint::image {
 namespace {
 
 // Discrete Gaussian kernel with radius 3 sigma, normalized to sum 1.
-std::vector<double> GaussianKernel(double sigma_voxels) {
-  const int radius = std::max(1, static_cast<int>(std::ceil(3.0 * sigma_voxels)));
+// Rejects a radius that is not finite or exceeds kMaxSmoothingRadius
+// before the int conversion, which would otherwise be undefined.
+Result<std::vector<double>> GaussianKernel(double sigma_voxels) {
+  const double reach = std::ceil(3.0 * sigma_voxels);
+  if (!(reach <= static_cast<double>(kMaxSmoothingRadius))) {
+    return Status::InvalidArgument(
+        "GaussianSmooth: kernel radius is not finite or exceeds "
+        "kMaxSmoothingRadius voxels");
+  }
+  const int radius = std::max(1, static_cast<int>(reach));
   std::vector<double> kernel(static_cast<std::size_t>(2 * radius + 1));
   double sum = 0.0;
   for (int i = -radius; i <= radius; ++i) {
@@ -49,6 +58,9 @@ double FwhmToSigma(double fwhm) { return fwhm / (2.0 * std::sqrt(2.0 * std::log(
 
 Result<Volume3D> GaussianSmooth(const Volume3D& v, double fwhm_mm) {
   if (v.empty()) return Status::InvalidArgument("GaussianSmooth: empty volume");
+  if (!std::isfinite(fwhm_mm)) {
+    return Status::InvalidArgument("GaussianSmooth: non-finite FWHM");
+  }
   if (fwhm_mm < 0.0) {
     return Status::InvalidArgument("GaussianSmooth: negative FWHM");
   }
@@ -65,10 +77,11 @@ Result<Volume3D> GaussianSmooth(const Volume3D& v, double fwhm_mm) {
   // X axis.
   {
     const auto kernel = GaussianKernel(FwhmToSigma(fwhm_mm) / sp.dx_mm);
+    if (!kernel.ok()) return kernel.status();
     for (std::size_t z = 0; z < nz; ++z) {
       for (std::size_t y = 0; y < ny; ++y) {
         ConvolveLine(work.data(), out.data(), 0 + nx * (y + ny * z), 1, nx,
-                     kernel);
+                     *kernel);
       }
     }
     std::swap(work, out);
@@ -76,9 +89,10 @@ Result<Volume3D> GaussianSmooth(const Volume3D& v, double fwhm_mm) {
   // Y axis.
   {
     const auto kernel = GaussianKernel(FwhmToSigma(fwhm_mm) / sp.dy_mm);
+    if (!kernel.ok()) return kernel.status();
     for (std::size_t z = 0; z < nz; ++z) {
       for (std::size_t x = 0; x < nx; ++x) {
-        ConvolveLine(work.data(), out.data(), x + nx * ny * z, nx, ny, kernel);
+        ConvolveLine(work.data(), out.data(), x + nx * ny * z, nx, ny, *kernel);
       }
     }
     std::swap(work, out);
@@ -86,23 +100,28 @@ Result<Volume3D> GaussianSmooth(const Volume3D& v, double fwhm_mm) {
   // Z axis.
   {
     const auto kernel = GaussianKernel(FwhmToSigma(fwhm_mm) / sp.dz_mm);
+    if (!kernel.ok()) return kernel.status();
     for (std::size_t y = 0; y < ny; ++y) {
       for (std::size_t x = 0; x < nx; ++x) {
-        ConvolveLine(work.data(), out.data(), x + nx * y, nx * ny, nz, kernel);
+        ConvolveLine(work.data(), out.data(), x + nx * y, nx * ny, nz, *kernel);
       }
     }
   }
   return out;
 }
 
-Result<Volume4D> GaussianSmooth4D(const Volume4D& v, double fwhm_mm) {
+Result<Volume4D> GaussianSmooth4D(const Volume4D& v, double fwhm_mm,
+                                  const ParallelContext& parallel) {
   if (v.empty()) return Status::InvalidArgument("GaussianSmooth4D: empty run");
   Volume4D out = v;
-  for (std::size_t t = 0; t < v.nt(); ++t) {
-    auto smoothed = GaussianSmooth(v.ExtractVolume(t), fwhm_mm);
-    if (!smoothed.ok()) return smoothed.status();
-    out.SetVolume(t, *smoothed);
-  }
+  // Grain 1: each chunk is the single frame [t, t + 1).
+  NP_RETURN_IF_ERROR(ParallelForStatus(
+      parallel, 0, v.nt(), 1, [&](std::size_t t, std::size_t) -> Status {
+        auto smoothed = GaussianSmooth(v.ExtractVolume(t), fwhm_mm);
+        if (!smoothed.ok()) return smoothed.status();
+        out.SetVolume(t, *smoothed);
+        return Status::OK();
+      }));
   return out;
 }
 

@@ -57,7 +57,8 @@ struct PipelineConfig {
 
   double mask_fraction = 0.25;
 
-  double smoothing_fwhm_mm = 4.0;  ///< 0 disables smoothing.
+  /// <= 0 disables smoothing; a non-finite value is InvalidArgument.
+  double smoothing_fwhm_mm = 4.0;
 
   bool intensity_normalization = true;
   double grand_mean_target = 1000.0;
@@ -70,8 +71,9 @@ struct PipelineConfig {
 
   bool zscore_series = true;
 
-  /// Threads for the per-voxel and per-region stages. Never changes
-  /// results (see util/thread_pool.h), only wall-clock time.
+  /// Threads for the per-frame (motion correction, smoothing), per-slice
+  /// (slice timing) and per-region stages. Never changes results (see
+  /// util/thread_pool.h), only wall-clock time.
   ParallelContext parallel;
 
   /// Observability: `trace.enabled = true` collects per-stage spans and

@@ -35,7 +35,8 @@ std::vector<double> SliceAcquisitionFractions(std::size_t nz,
 Result<image::Volume4D> SliceTimeCorrect(const image::Volume4D& run,
                                          SliceOrder order,
                                          std::size_t reference_slice,
-                                         signal::InterpKind interp) {
+                                         signal::InterpKind interp,
+                                         const ParallelContext& parallel) {
   if (run.empty()) {
     return Status::InvalidArgument("SliceTimeCorrect: empty run");
   }
@@ -45,23 +46,32 @@ Result<image::Volume4D> SliceTimeCorrect(const image::Volume4D& run,
   }
   const std::vector<double> fractions =
       SliceAcquisitionFractions(run.nz(), order);
+  const std::size_t plane = run.nx() * run.ny();
+  const std::size_t frame_stride = run.voxels_per_volume();
 
   image::Volume4D out = run;
-  for (std::size_t z = 0; z < run.nz(); ++z) {
-    // A slice acquired `delta` TRs later than the reference holds sample
-    // s(t + delta) at index t; the value aligned to the reference's time
-    // grid is s(t), i.e. the series evaluated at index t - delta.
-    const double delta = fractions[z] - fractions[reference_slice];
-    if (delta == 0.0) continue;
-    for (std::size_t y = 0; y < run.ny(); ++y) {
-      for (std::size_t x = 0; x < run.nx(); ++x) {
-        auto shifted =
-            signal::ShiftSeries(run.VoxelTimeSeries(x, y, z), -delta, interp);
-        if (!shifted.ok()) return shifted.status();
-        out.SetVoxelTimeSeries(x, y, z, *shifted);
+  // Slice z reads and writes only its own plane of every frame.
+  ParallelFor(parallel, 0, run.nz(), 1, [&](std::size_t z_lo,
+                                            std::size_t z_hi) {
+    std::vector<double> shifted(plane);
+    for (std::size_t z = z_lo; z < z_hi; ++z) {
+      // A slice acquired `delta` TRs later than the reference holds sample
+      // s(t + delta) at index t; the value aligned to the reference's time
+      // grid is s(t), i.e. the series evaluated at index t - delta.
+      const double delta = fractions[z] - fractions[reference_slice];
+      if (delta == 0.0) continue;
+      const signal::InterpOperator shift =
+          signal::InterpOperator::Shift(run.nt(), -delta, interp);
+      const float* slice = run.data() + z * plane;
+      for (std::size_t t = 0; t < run.nt(); ++t) {
+        shift.ApplyAt(t, slice, frame_stride, plane, shifted.data());
+        float* dst = out.VolumePtr(t) + z * plane;
+        for (std::size_t p = 0; p < plane; ++p) {
+          dst[p] = static_cast<float>(shifted[p]);
+        }
       }
     }
-  }
+  });
   return out;
 }
 

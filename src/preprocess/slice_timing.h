@@ -1,6 +1,13 @@
 // Slice-time correction: each axial slice of an fMRI volume is acquired at
 // a different moment within the TR; this stage resamples every voxel's
 // series onto the acquisition time of a reference slice.
+//
+// The shift is constant within a slice, so the resampling of a slice is
+// one linear operator on its time axis (signal::InterpOperator). It is
+// built once per slice and applied across the contiguous x-y plane of
+// every frame, in parallel over slices. Per voxel the arithmetic is that
+// of signal::ShiftSeries on the voxel's series, so the output does not
+// depend on the thread count.
 
 #ifndef NEUROPRINT_PREPROCESS_SLICE_TIMING_H_
 #define NEUROPRINT_PREPROCESS_SLICE_TIMING_H_
@@ -10,6 +17,7 @@
 #include "image/volume.h"
 #include "signal/resample.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace neuroprint::preprocess {
 
@@ -24,11 +32,12 @@ enum class SliceOrder {
 std::vector<double> SliceAcquisitionFractions(std::size_t nz, SliceOrder order);
 
 /// Shifts every voxel's time series so all slices align to the acquisition
-/// time of slice `reference_slice`.
+/// time of slice `reference_slice`. Bitwise-identical at any thread count.
 Result<image::Volume4D> SliceTimeCorrect(
     const image::Volume4D& run, SliceOrder order,
     std::size_t reference_slice = 0,
-    signal::InterpKind interp = signal::InterpKind::kWindowedSinc);
+    signal::InterpKind interp = signal::InterpKind::kWindowedSinc,
+    const ParallelContext& parallel = {});
 
 }  // namespace neuroprint::preprocess
 

@@ -6,6 +6,7 @@
 // 1, 2, and 8 threads) to a clean run restricted to the same subjects,
 // while fail-fast surfaces the lowest-index subject's error.
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -306,6 +307,59 @@ TEST_F(FaultInjectionPipelineTest, MotionFailureFailsFastByDefault) {
   const auto output = preprocess::RunPipeline(runs_[0], atlas_, config);
   ASSERT_FALSE(output.ok());
   EXPECT_EQ(output.status().code(), StatusCode::kInternal);
+}
+
+// Frames register concurrently, so two keyed frame failures must still
+// resolve as the serial loop did: both frames degrade (reported in
+// ascending order) under skip-and-report, and fail-fast returns the lower
+// frame's error whichever frame's worker finishes first.
+constexpr char kTwoFrameSchedule[] =
+    "pipeline.motion_correct#3=error:Internal:frame three (injected);"
+    "pipeline.motion_correct#7=error:CorruptData:frame seven (injected)";
+
+TEST_F(FaultInjectionPipelineTest, TwoFrameFailuresDegradeAcrossThreads) {
+  preprocess::PipelineConfig config = FastConfig();
+  config.failure_policy = FailurePolicy::SkipAndReport();
+  config.fault.schedule = kTwoFrameSchedule;
+  config.registration.sample_stride = 2;
+  config.parallel.num_threads = 1;
+  const auto serial = preprocess::RunPipeline(runs_[0], atlas_, config);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  EXPECT_EQ(serial->degraded_frames, (std::vector<std::size_t>{3, 7}));
+  EXPECT_EQ(serial->motion[3].AsArray(), (std::array<double, 6>{}));
+  EXPECT_EQ(serial->motion[7].AsArray(), (std::array<double, 6>{}));
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    config.parallel.num_threads = threads;
+    const auto output = preprocess::RunPipeline(runs_[0], atlas_, config);
+    ASSERT_TRUE(output.ok()) << output.status();
+    EXPECT_EQ(output->degraded_frames, serial->degraded_frames);
+    ASSERT_EQ(output->motion.size(), serial->motion.size());
+    for (std::size_t t = 0; t < output->motion.size(); ++t) {
+      EXPECT_EQ(output->motion[t].AsArray(), serial->motion[t].AsArray())
+          << "frame " << t;
+    }
+    const linalg::Matrix& got = output->region_series;
+    const linalg::Matrix& want = serial->region_series;
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got.data()[i], want.data()[i])
+          << threads << " threads, element " << i;
+    }
+  }
+}
+
+TEST_F(FaultInjectionPipelineTest, TwoFrameFailuresFailFastWithLowestFrame) {
+  preprocess::PipelineConfig config = FastConfig();
+  config.fault.schedule = kTwoFrameSchedule;
+  config.registration.sample_stride = 2;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    config.parallel.num_threads = threads;
+    const auto output = preprocess::RunPipeline(runs_[0], atlas_, config);
+    ASSERT_FALSE(output.ok());
+    EXPECT_EQ(output.status().code(), StatusCode::kInternal) << threads;
+    EXPECT_EQ(output.status().message(), "frame three (injected)") << threads;
+  }
 }
 
 TEST_F(FaultInjectionPipelineTest, BatchSkipsFailedRunAndReportsIt) {

@@ -2,6 +2,7 @@
 // masking, and rigid registration (including recovering known motion).
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -205,6 +206,28 @@ TEST(SmoothTest, FwhmZeroIsIdentityAndNegativeRejected) {
     EXPECT_FLOAT_EQ(same->flat()[i], v.flat()[i]);
   }
   EXPECT_FALSE(GaussianSmooth(v, -1.0).ok());
+}
+
+TEST(SmoothTest, NonFiniteOrHugeFwhmRejected) {
+  // Each of these used to reach the int conversion of the kernel radius.
+  const Volume3D v = BlobVolume(8, 4, 4, 4);
+  for (const double fwhm : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(), 1e300}) {
+    const auto out = GaussianSmooth(v, fwhm);
+    ASSERT_FALSE(out.ok()) << fwhm;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << fwhm;
+  }
+  // The cap is on the radius in voxels, so a sub-nanometre voxel makes an
+  // ordinary FWHM just as unusable.
+  Volume3D tiny = v;
+  tiny.spacing().dz_mm = 1e-300;
+  EXPECT_EQ(GaussianSmooth(tiny, 6.0).status().code(),
+            StatusCode::kInvalidArgument);
+  Volume4D run(4, 4, 4, 3, 1.0f);
+  EXPECT_EQ(GaussianSmooth4D(run, std::numeric_limits<double>::infinity())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SmoothTest, FwhmToSigmaKnownValue) {

@@ -5,6 +5,7 @@
 // chunking or accumulation order ever depends on the thread count.
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -17,6 +18,9 @@
 #include "core/knn.h"
 #include "core/matcher.h"
 #include "core/tsne.h"
+#include "image/registration.h"
+#include "image/resample.h"
+#include "image/smooth.h"
 #include "linalg/bidiag.h"
 #include "linalg/gemm_kernel.h"
 #include "linalg/matrix.h"
@@ -215,11 +219,119 @@ TEST(ParallelInvarianceTest, TemporalCleanup) {
   }
 }
 
+void ExpectBitwiseEqual(const image::Volume4D& a, const image::Volume4D& b,
+                        const char* stage) {
+  ASSERT_EQ(a.size(), b.size()) << stage;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a.flat()[i]),
+              std::bit_cast<std::uint32_t>(b.flat()[i]))
+        << stage << ": voxel " << i << " differs";
+  }
+}
+
+// A smooth blob that drifts and rotates a little from frame to frame, plus
+// noise: every frame registers to a distinct non-identity transform.
+image::Volume4D MovingBlobRun(std::size_t n, std::size_t nt) {
+  image::Volume3D blob(n, n, n);
+  const double c = 0.5 * static_cast<double>(n - 1);
+  for (std::size_t z = 0; z < n; ++z) {
+    for (std::size_t y = 0; y < n; ++y) {
+      for (std::size_t x = 0; x < n; ++x) {
+        const double dx = static_cast<double>(x) - c;
+        const double dy = 0.7 * (static_cast<double>(y) - c);
+        const double dz = static_cast<double>(z) - c;
+        blob.at(x, y, z) = static_cast<float>(
+            1000.0 * std::exp(-(dx * dx + dy * dy + dz * dz) / 12.0));
+      }
+    }
+  }
+  image::Volume4D run(n, n, n, nt);
+  Rng rng(61);
+  for (std::size_t t = 0; t < nt; ++t) {
+    image::RigidTransform motion;
+    motion.translate_x = 0.3 * static_cast<double>(t);
+    motion.translate_y = -0.2 * static_cast<double>(t % 3);
+    motion.rotate_z = 0.02 * static_cast<double>(t % 2);
+    auto moved = image::ResampleRigid(blob, motion);
+    EXPECT_TRUE(moved.ok());
+    for (float& v : moved->flat()) {
+      v += static_cast<float>(5.0 * rng.Gaussian());
+    }
+    run.SetVolume(t, *moved);
+  }
+  return run;
+}
+
+TEST(ParallelInvarianceTest, MotionCorrection) {
+  const image::Volume4D run = MovingBlobRun(12, 9);
+  image::RegistrationOptions options;
+  options.sample_stride = 2;
+  const auto mc1 = image::MotionCorrect(run, options, ParallelContext{1});
+  ASSERT_TRUE(mc1.ok());
+  // Frames really move, so each one is resampled, not just copied.
+  for (std::size_t t = 1; t < run.nt(); ++t) {
+    EXPECT_FALSE(mc1->motion[t].IsApproxIdentity(1e-6)) << "frame " << t;
+  }
+  for (const std::size_t threads : kThreadCounts) {
+    const auto mc =
+        image::MotionCorrect(run, options, ParallelContext{threads});
+    ASSERT_TRUE(mc.ok());
+    ExpectBitwiseEqual(mc1->corrected, mc->corrected, "MotionCorrect");
+    ASSERT_EQ(mc1->motion.size(), mc->motion.size());
+    for (std::size_t t = 0; t < mc->motion.size(); ++t) {
+      const auto a = mc1->motion[t].AsArray();
+      const auto b = mc->motion[t].AsArray();
+      for (std::size_t k = 0; k < a.size(); ++k) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a[k]),
+                  std::bit_cast<std::uint64_t>(b[k]))
+            << "frame " << t << " parameter " << k;
+      }
+    }
+    EXPECT_EQ(mc1->degraded_frames, mc->degraded_frames);
+  }
+}
+
+TEST(ParallelInvarianceTest, SliceTimeCorrection) {
+  image::Volume4D run(7, 5, 9, 30);
+  Rng rng(71);
+  for (float& v : run.flat()) {
+    v = static_cast<float>(500.0 + 100.0 * rng.Gaussian());
+  }
+  for (const preprocess::SliceOrder order :
+       {preprocess::SliceOrder::kSequentialAscending,
+        preprocess::SliceOrder::kSequentialDescending,
+        preprocess::SliceOrder::kInterleavedOdd}) {
+    for (const signal::InterpKind kind :
+         {signal::InterpKind::kLinear, signal::InterpKind::kWindowedSinc}) {
+      const auto st1 =
+          preprocess::SliceTimeCorrect(run, order, 4, kind, ParallelContext{1});
+      ASSERT_TRUE(st1.ok());
+      for (const std::size_t threads : kThreadCounts) {
+        const auto st = preprocess::SliceTimeCorrect(run, order, 4, kind,
+                                                     ParallelContext{threads});
+        ASSERT_TRUE(st.ok());
+        ExpectBitwiseEqual(*st1, *st, "SliceTimeCorrect");
+      }
+    }
+  }
+}
+
+TEST(ParallelInvarianceTest, Smoothing) {
+  const image::Volume4D run = MovingBlobRun(10, 7);
+  const auto sm1 = image::GaussianSmooth4D(run, 5.0, ParallelContext{1});
+  ASSERT_TRUE(sm1.ok());
+  for (const std::size_t threads : kThreadCounts) {
+    const auto sm = image::GaussianSmooth4D(run, 5.0, ParallelContext{threads});
+    ASSERT_TRUE(sm.ok());
+    ExpectBitwiseEqual(*sm1, *sm, "GaussianSmooth4D");
+  }
+}
+
 Result<preprocess::PipelineOutput> RunSmallPipeline(
     const image::Volume4D& run, const atlas::Atlas& atlas,
     std::size_t threads) {
   preprocess::PipelineConfig config = preprocess::RestingStateConfig();
-  config.motion_correction = false;  // Keep the voxel pass cheap.
+  config.registration.sample_stride = 2;
   config.parallel.num_threads = threads;
   return preprocess::RunPipeline(run, atlas, config);
 }
@@ -246,6 +358,7 @@ TEST(ParallelInvarianceTest, VoxelPipeline) {
     const auto out = RunSmallPipeline(run, *atlas, threads);
     ASSERT_TRUE(out.ok());
     ExpectBitwiseEqual(out1->region_series, out->region_series, "RunPipeline");
+    EXPECT_EQ(out->motion.size(), run.nt());  // Motion correction ran.
   }
 }
 

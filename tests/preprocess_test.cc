@@ -1,7 +1,11 @@
 // Tests for slice-time correction and the full Figure-4 pipeline: every
 // stage must remove its planted artifact without destroying the signal.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 
 #include <gtest/gtest.h>
@@ -12,6 +16,7 @@
 #include "preprocess/pipeline.h"
 #include "preprocess/slice_timing.h"
 #include "signal/filters.h"
+#include "signal/resample.h"
 #include "sim/cohort.h"
 #include "sim/voxel_render.h"
 #include "util/random.h"
@@ -69,6 +74,153 @@ TEST(SliceTimingTest, RejectsBadReferenceSlice) {
   const image::Volume4D run(2, 2, 2, 4);
   EXPECT_FALSE(
       SliceTimeCorrect(run, SliceOrder::kSequentialAscending, 5).ok());
+}
+
+// The per-voxel slice-timing implementation the per-slice operator
+// replaced, kept verbatim as an oracle: gather one voxel's strided series,
+// evaluate the interpolation kernel at every shifted time, scatter back.
+double OracleSampleClamped(const std::vector<double>& x, std::ptrdiff_t i) {
+  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(x.size());
+  return x[static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(i, 0, n - 1))];
+}
+
+double OracleSinc(double x) {
+  if (x == 0.0) return 1.0;
+  const double px = kPi * x;
+  return std::sin(px) / px;
+}
+
+double OracleEvaluateAt(const std::vector<double>& x, double t,
+                        signal::InterpKind kind) {
+  constexpr int kLanczosA = 4;
+  const double n_minus_1 = static_cast<double>(x.size() - 1);
+  const double tc = std::clamp(t, 0.0, n_minus_1);
+  if (kind == signal::InterpKind::kLinear) {
+    const double floor_t = std::floor(tc);
+    const auto i0 = static_cast<std::ptrdiff_t>(floor_t);
+    const double frac = tc - floor_t;
+    return (1.0 - frac) * OracleSampleClamped(x, i0) +
+           frac * OracleSampleClamped(x, i0 + 1);
+  }
+  const auto center = static_cast<std::ptrdiff_t>(std::floor(tc));
+  double value = 0.0;
+  double weight_sum = 0.0;
+  for (std::ptrdiff_t k = center - kLanczosA + 1; k <= center + kLanczosA;
+       ++k) {
+    const double u = tc - static_cast<double>(k);
+    const double w = std::fabs(u) >= kLanczosA
+                         ? 0.0
+                         : OracleSinc(u) * OracleSinc(u / kLanczosA);
+    value += w * OracleSampleClamped(x, k);
+    weight_sum += w;
+  }
+  return weight_sum != 0.0 ? value / weight_sum : value;
+}
+
+std::vector<double> OracleShiftSeries(const std::vector<double>& x,
+                                      double shift, signal::InterpKind kind) {
+  std::vector<double> out(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    out[i] = OracleEvaluateAt(x, static_cast<double>(i) + shift, kind);
+  }
+  return out;
+}
+
+image::Volume4D OracleSliceTimeCorrect(const image::Volume4D& run,
+                                       SliceOrder order,
+                                       std::size_t reference_slice,
+                                       signal::InterpKind kind) {
+  const std::vector<double> fractions =
+      SliceAcquisitionFractions(run.nz(), order);
+  image::Volume4D out = run;
+  for (std::size_t z = 0; z < run.nz(); ++z) {
+    const double delta = fractions[z] - fractions[reference_slice];
+    if (delta == 0.0) continue;
+    for (std::size_t y = 0; y < run.ny(); ++y) {
+      for (std::size_t x = 0; x < run.nx(); ++x) {
+        out.SetVoxelTimeSeries(
+            x, y, z,
+            OracleShiftSeries(run.VoxelTimeSeries(x, y, z), -delta, kind));
+      }
+    }
+  }
+  return out;
+}
+
+// Random voxels plus two probes of the sign of zero: one voxel whose
+// series is all -0.0f and one that is all +0.0f.
+image::Volume4D RandomRun(std::size_t nx, std::size_t ny, std::size_t nz,
+                          std::size_t nt, std::uint64_t seed) {
+  image::Volume4D run(nx, ny, nz, nt);
+  Rng rng(seed);
+  for (float& v : run.flat()) {
+    v = static_cast<float>(500.0 + 100.0 * rng.Gaussian());
+  }
+  for (std::size_t t = 0; t < nt; ++t) {
+    run.at(0, 0, nz - 1, t) = -0.0f;
+    run.at(nx - 1, ny - 1, 0, t) = 0.0f;
+  }
+  return run;
+}
+
+void ExpectSameBits(const image::Volume4D& a, const image::Volume4D& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a.flat()[i]),
+              std::bit_cast<std::uint32_t>(b.flat()[i]))
+        << what << ": voxel " << i << " (" << a.flat()[i] << " vs "
+        << b.flat()[i] << ")";
+  }
+}
+
+TEST(SliceTimingTest, PerSliceOperatorMatchesPerVoxelOracleBitwise) {
+  // nt = 3 and 4 make every windowed-sinc tap clamp at both ends; 7 mixes
+  // clamped and interior taps; 120 is a realistic run length.
+  const std::size_t nz = 6;
+  for (const std::size_t nt : {3u, 4u, 7u, 120u}) {
+    const image::Volume4D run = RandomRun(5, 3, nz, nt, 100 + nt);
+    for (const signal::InterpKind kind :
+         {signal::InterpKind::kLinear, signal::InterpKind::kWindowedSinc}) {
+      for (const SliceOrder order :
+           {SliceOrder::kSequentialAscending,
+            SliceOrder::kSequentialDescending, SliceOrder::kInterleavedOdd}) {
+        for (const std::size_t reference : {std::size_t{0}, nz - 1}) {
+          const std::string what =
+              "nt=" + std::to_string(nt) +
+              " kind=" + std::to_string(static_cast<int>(kind)) +
+              " order=" + std::to_string(static_cast<int>(order)) +
+              " ref=" + std::to_string(reference);
+          const auto corrected = SliceTimeCorrect(run, order, reference, kind);
+          ASSERT_TRUE(corrected.ok()) << what;
+          ExpectSameBits(OracleSliceTimeCorrect(run, order, reference, kind),
+                         *corrected, what);
+        }
+      }
+    }
+  }
+}
+
+TEST(SliceTimingTest, ShiftSeriesMatchesPerSampleOracleBitwise) {
+  Rng rng(31);
+  for (const std::size_t n : {1u, 2u, 3u, 9u, 64u}) {
+    std::vector<double> x(n);
+    for (double& v : x) v = rng.Gaussian();
+    x[0] = -0.0;
+    for (const double shift : {-0.875, -0.5, -1e-3, 0.0, 0.25, 0.6, 3.5}) {
+      for (const signal::InterpKind kind :
+           {signal::InterpKind::kLinear, signal::InterpKind::kWindowedSinc}) {
+        const auto shifted = signal::ShiftSeries(x, shift, kind);
+        ASSERT_TRUE(shifted.ok());
+        const std::vector<double> oracle = OracleShiftSeries(x, shift, kind);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>((*shifted)[i]),
+                    std::bit_cast<std::uint64_t>(oracle[i]))
+              << "n=" << n << " shift=" << shift << " i=" << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(CleanRegionSeriesTest, RemovesDriftAndZScores) {
@@ -252,6 +404,22 @@ TEST_F(PipelineIntegrationTest, RejectsGridMismatchAndNonFinite) {
   ASSERT_TRUE(run.ok());
   run->at(1, 1, 1, 0) = std::numeric_limits<float>::quiet_NaN();
   EXPECT_FALSE(RunPipeline(*run, atlas_, PipelineConfig{}).ok());
+}
+
+TEST_F(PipelineIntegrationTest, RejectsNonFiniteSmoothingFwhm) {
+  Rng rng(27);
+  auto run = sim::RenderVoxelRun(atlas_, truth_series_, {}, rng);
+  ASSERT_TRUE(run.ok());
+  PipelineConfig config = RestingStateConfig();
+  config.slice_time_correction = false;
+  config.motion_correction = false;
+  for (const double fwhm : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(), 1e300}) {
+    config.smoothing_fwhm_mm = fwhm;
+    const auto output = RunPipeline(*run, atlas_, config);
+    ASSERT_FALSE(output.ok()) << fwhm;
+    EXPECT_EQ(output.status().code(), StatusCode::kInvalidArgument) << fwhm;
+  }
 }
 
 TEST_F(PipelineIntegrationTest, StageTimingsRecorded) {

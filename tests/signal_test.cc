@@ -2,6 +2,7 @@
 // resampling — including parameterized sweeps over transform sizes.
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include <gtest/gtest.h>
@@ -326,6 +327,12 @@ TEST(ResampleSeriesTest, RejectsBadInputs) {
   EXPECT_FALSE(ResampleSeries({}, 1.0, 1.0, InterpKind::kLinear).ok());
   EXPECT_FALSE(ResampleSeries({1, 2}, 0.0, 1.0, InterpKind::kLinear).ok());
   EXPECT_FALSE(ResampleSeries({1, 2}, 1.0, -1.0, InterpKind::kLinear).ok());
+  // Non-finite intervals used to reach a size_t conversion of NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(ResampleSeries({1, 2}, nan, 1.0, InterpKind::kLinear).ok());
+  EXPECT_FALSE(ResampleSeries({1, 2}, 1.0, nan, InterpKind::kLinear).ok());
+  EXPECT_FALSE(ResampleSeries({1, 2}, inf, 1.0, InterpKind::kLinear).ok());
 }
 
 }  // namespace
