@@ -1,6 +1,8 @@
 // NIfTI codec tests: header round-trip, voxel round-trip across data
 // types and compression, endianness handling, and corrupt-file rejection.
 
+#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -118,11 +120,21 @@ TEST(NiftiHeaderTest, BitsPerVoxel) {
 }
 
 // Parameterized write/read round trip over dtype x compression.
+// gtest names each case after a byte dump of its parameter, so the struct has
+// no padding: the bytes between `gzip` and `tolerance` are a zeroed member
+// rather than uninitialised memory that changes the test name every process.
 struct RoundTripCase {
+  RoundTripCase(DataType datatype_in, bool gzip_in, double tolerance_in)
+      : datatype(datatype_in), gzip(gzip_in), tolerance(tolerance_in) {}
+
   DataType datatype;
   bool gzip;
+  std::array<std::uint8_t, 5> zero_fill{};
   double tolerance;  // Integer types quantize.
 };
+static_assert(sizeof(RoundTripCase) ==
+                  sizeof(DataType) + sizeof(bool) + 5 + sizeof(double),
+              "RoundTripCase must not contain padding bytes");
 
 class NiftiRoundTripTest : public ::testing::TestWithParam<RoundTripCase> {};
 
