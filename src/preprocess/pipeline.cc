@@ -78,6 +78,25 @@ std::vector<double> GlobalSignal(const image::Volume4D& run,
   return global;
 }
 
+// One batch item: the keyed `pipeline.batch_item` fault point, then the
+// pipeline on `run` into *out.
+//
+// Batches run their items one after another. Each run's voxel stages
+// already split its frames or slices over config.parallel, so the whole
+// thread budget works on one run and stays balanced at frame grain.
+// Running whole runs concurrently would run those stages inline (nested
+// parallel regions do) and leave each window waiting on its most
+// expensive run while the other threads idle.
+Status RunBatchItem(const image::Volume4D& run, std::size_t index,
+                    const atlas::Atlas& atlas, const PipelineConfig& config,
+                    PipelineOutput* out) {
+  NP_FAULT_POINT_KEYED("pipeline.batch_item", index);
+  Result<PipelineOutput> result = RunPipeline(run, atlas, config);
+  if (!result.ok()) return result.status();
+  *out = std::move(result).value();
+  return Status::OK();
+}
+
 }  // namespace
 
 PipelineConfig RestingStateConfig() {
@@ -335,18 +354,14 @@ Result<PipelineBatchOutput> RunPipelineBatch(
   std::vector<PipelineOutput> results(runs.size());
   std::vector<char> succeeded(runs.size(), 0);
   std::vector<std::pair<std::size_t, Status>> errors;
-  ParallelForStatusCollect(
-      config.parallel, 0, runs.size(), 1,
-      [&](std::size_t i) -> Status {
-        NP_FAULT_POINT_KEYED("pipeline.batch_item", i);
-        Result<PipelineOutput> result = RunPipeline(runs[i], atlas,
-                                                    item_config);
-        if (!result.ok()) return result.status();
-        results[i] = std::move(result).value();
-        succeeded[i] = 1;
-        return Status::OK();
-      },
-      &errors);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    Status status = RunBatchItem(runs[i], i, atlas, item_config, &results[i]);
+    if (status.ok()) {
+      succeeded[i] = 1;
+    } else {
+      errors.emplace_back(i, std::move(status));
+    }
+  }
 
   for (auto& [index, status] : errors) {
     BatchItemReport item;
@@ -452,20 +467,18 @@ Result<PipelineBatchOutput> RunPipelineBatch(
       loaded[k] = 1;
     }
 
-    ParallelForStatusCollect(
-        config.parallel, 0, batch, 1,
-        [&](std::size_t k) -> Status {
-          if (!loaded[k]) return Status::OK();
-          NP_FAULT_POINT_KEYED("pipeline.batch_item", base + k);
-          Result<PipelineOutput> result =
-              RunPipeline(window_runs[k], atlas, item_config);
-          window_runs[k] = image::Volume4D();  // release the raw run
-          if (!result.ok()) return result.status();
-          results[k] = std::move(result).value();
-          succeeded[k] = 1;
-          return Status::OK();
-        },
-        &errors);
+    errors.clear();
+    for (std::size_t k = 0; k < batch; ++k) {
+      if (!loaded[k]) continue;
+      Status status = RunBatchItem(window_runs[k], base + k, atlas,
+                                   item_config, &results[k]);
+      window_runs[k] = image::Volume4D();  // release the raw run
+      if (status.ok()) {
+        succeeded[k] = 1;
+      } else {
+        errors.emplace_back(k, std::move(status));
+      }
+    }
 
     for (auto& [k, status] : errors) {
       BatchItemReport item;

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -359,6 +360,59 @@ TEST(ParallelInvarianceTest, VoxelPipeline) {
     ASSERT_TRUE(out.ok());
     ExpectBitwiseEqual(out1->region_series, out->region_series, "RunPipeline");
     EXPECT_EQ(out->motion.size(), run.nt());  // Motion correction ran.
+  }
+}
+
+// A batch runs its scans one after another, each on every thread: the
+// outputs equal per-scan RunPipeline at 1 thread for both overloads, any
+// window and any thread count.
+TEST(ParallelInvarianceTest, VoxelPipelineBatch) {
+  atlas::SyntheticAtlasConfig atlas_config;
+  atlas_config.nx = 10;
+  atlas_config.ny = 10;
+  atlas_config.nz = 6;
+  atlas_config.num_regions = 8;
+  atlas_config.seed = 7;
+  const auto atlas = atlas::GenerateSyntheticAtlas(atlas_config);
+  ASSERT_TRUE(atlas.ok());
+  std::vector<image::Volume4D> runs;
+  Rng rng(53);
+  for (const std::size_t nt : {40, 30, 36}) {
+    image::Volume4D run(10, 10, 6, nt);
+    for (float& v : run.flat()) {
+      v = static_cast<float>(500.0 + 100.0 * rng.Gaussian());
+    }
+    runs.push_back(std::move(run));
+  }
+
+  std::vector<linalg::Matrix> want;
+  for (const image::Volume4D& run : runs) {
+    const auto out = RunSmallPipeline(run, *atlas, 1);
+    ASSERT_TRUE(out.ok());
+    want.push_back(out->region_series);
+  }
+  const preprocess::RunSource source =
+      [&runs](std::size_t i) -> Result<image::Volume4D> { return runs[i]; };
+  for (const std::size_t threads : kThreadCounts) {
+    preprocess::PipelineConfig config = preprocess::RestingStateConfig();
+    config.registration.sample_stride = 2;
+    config.parallel.num_threads = threads;
+    const auto batch = preprocess::RunPipelineBatch(runs, {}, *atlas, config);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(batch->outputs.size(), runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      ExpectBitwiseEqual(want[i], batch->outputs[i].region_series,
+                         "RunPipelineBatch");
+    }
+    config.max_in_flight = 2;
+    const auto bounded =
+        preprocess::RunPipelineBatch(source, runs.size(), {}, *atlas, config);
+    ASSERT_TRUE(bounded.ok());
+    ASSERT_EQ(bounded->outputs.size(), runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      ExpectBitwiseEqual(want[i], bounded->outputs[i].region_series,
+                         "RunPipelineBatch (bounded)");
+    }
   }
 }
 
