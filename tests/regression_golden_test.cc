@@ -12,15 +12,21 @@
 // is not a quality claim — this cohort is deliberately tiny (8 subjects,
 // 16 regions, 60 frames) to keep the tier fast.
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "atlas/synthetic_atlas.h"
 #include "connectome/matrix_store.h"
 #include "core/attack.h"
+#include "image/registration.h"
+#include "preprocess/pipeline.h"
 #include "sim/cohort.h"
+#include "sim/voxel_render.h"
+#include "util/random.h"
 
 namespace neuroprint {
 namespace {
@@ -142,6 +148,109 @@ TEST(RegressionGoldenTest, StreamedAttackMatchesTheSameGoldens) {
               golden.leverage_bits)
         << "streamed leverage for feature " << selected[i];
   }
+}
+
+// ---------------------------------------------------------------------------
+// Voxel-pipeline goldens: checksums of motion correction (per-frame rigid
+// parameters and the resampled run) and of the full Figure-4 pipeline's
+// region series on a fixed rendered run with planted head motion and
+// slice-timing offsets. They pin the registration cost's arithmetic —
+// sample coordinates, trilinear lerps and the serial z-y-x sum — so any
+// kernel behind it must reproduce today's bits on every ISA.
+
+// FNV-1a over the bytes of each value, in order.
+class Fnv1a {
+ public:
+  template <typename T>
+  void Add(T value) {
+    const auto bytes = std::bit_cast<std::array<unsigned char, sizeof(T)>>(
+        value);
+    for (const unsigned char b : bytes) {
+      hash_ = (hash_ ^ b) * 0x100000001b3ull;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+constexpr std::uint64_t kGoldenMotionParamsHash = 0x7d3a5d3cc9b4f388ull;
+constexpr std::uint64_t kGoldenCorrectedRunHash = 0x76c0c0d087241992ull;
+constexpr std::uint64_t kGoldenRegionSeriesHash = 0xb871502976e11295ull;
+
+class VoxelPipelineGoldenTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    atlas::SyntheticAtlasConfig atlas_config;
+    atlas_config.nx = 18;
+    atlas_config.ny = 18;
+    atlas_config.nz = 10;
+    atlas_config.num_regions = 10;
+    atlas_config.seed = 31;
+    auto atlas = atlas::GenerateSyntheticAtlas(atlas_config);
+    ASSERT_TRUE(atlas.ok()) << atlas.status();
+    atlas_ = std::move(atlas).value();
+
+    sim::CohortConfig cohort_config;
+    cohort_config.num_subjects = 2;
+    cohort_config.num_regions = atlas_config.num_regions;
+    cohort_config.frames_override = 48;
+    cohort_config.seed = 909;
+    const auto cohort = sim::CohortSimulator::Create(cohort_config);
+    ASSERT_TRUE(cohort.ok()) << cohort.status();
+    const auto series = cohort->SimulateRegionSeries(
+        0, sim::TaskType::kRest, sim::Encoding::kLeftRight);
+    ASSERT_TRUE(series.ok()) << series.status();
+
+    sim::VoxelRenderConfig render;
+    render.motion_step = 0.12;
+    render.plant_slice_timing = true;
+    Rng rng(4242);
+    auto run = sim::RenderVoxelRun(atlas_, *series, render, rng);
+    ASSERT_TRUE(run.ok()) << run.status();
+    run_ = std::move(run).value();
+
+    config_ = preprocess::RestingStateConfig();
+    config_.registration.sample_stride = 2;  // As the CLI runs it.
+    config_.parallel.num_threads = 1;
+  }
+
+  atlas::Atlas atlas_;
+  image::Volume4D run_;
+  preprocess::PipelineConfig config_;
+};
+
+TEST_F(VoxelPipelineGoldenTest, MotionCorrectionMatchesGoldens) {
+  const auto mc = image::MotionCorrect(run_, config_.registration,
+                                       config_.parallel);
+  ASSERT_TRUE(mc.ok()) << mc.status();
+  ASSERT_TRUE(mc->degraded_frames.empty());
+  Fnv1a params;
+  std::size_t moved_frames = 0;
+  for (const image::RigidTransform& m : mc->motion) {
+    for (const double p : m.AsArray()) params.Add(p);
+    if (!m.IsApproxIdentity(1e-6)) ++moved_frames;
+  }
+  // The planted motion is really estimated, not left at identity.
+  EXPECT_GT(moved_frames, run_.nt() / 2);
+  Fnv1a corrected;
+  for (const float v : mc->corrected.flat()) corrected.Add(v);
+  EXPECT_EQ(params.value(), kGoldenMotionParamsHash)
+      << "motion parameters moved: 0x" << std::hex << params.value();
+  EXPECT_EQ(corrected.value(), kGoldenCorrectedRunHash)
+      << "corrected run moved: 0x" << std::hex << corrected.value();
+}
+
+TEST_F(VoxelPipelineGoldenTest, RunPipelineMatchesGoldens) {
+  const auto out = preprocess::RunPipeline(run_, atlas_, config_);
+  ASSERT_TRUE(out.ok()) << out.status();
+  Fnv1a series;
+  for (std::size_t i = 0; i < out->region_series.size(); ++i) {
+    series.Add(out->region_series.data()[i]);
+  }
+  EXPECT_EQ(series.value(), kGoldenRegionSeriesHash)
+      << "region series moved: 0x" << std::hex << series.value();
 }
 
 }  // namespace
