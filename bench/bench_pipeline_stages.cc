@@ -4,16 +4,19 @@
 // realizes it and reports where the time goes.
 //
 // Threading: `--threads=N` (default: NEUROPRINT_THREADS / hardware) sets
-// the worker count for the parallelized stages. Every configuration is
-// run twice — once at 1 thread as the baseline, once at N — and the
-// per-stage speedup is reported; outputs are bitwise-identical across
-// thread counts (see util/thread_pool.h), so only the times differ.
+// the worker count for the parallelized stages. The pipeline runs several
+// passes at 1 thread (the baseline) and at N, alternating, and each
+// stage's seconds are the median over its passes, so one descheduled pass
+// cannot move a ratio; the per-stage speedup compares the two medians.
+// Outputs are bitwise-identical across thread counts (see
+// util/thread_pool.h), so only the times differ.
 // `--json=PATH` additionally emits the per-stage records as JSON.
 // `--trace=PATH` / `--metrics=PATH` enable the observability layer
 // (util/trace.h, util/metrics.h) and write the chrome://tracing span
 // dump / metrics JSON; with `--json` the metrics also ride along as
 // "metric/..." records.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -49,6 +52,35 @@ std::vector<std::pair<std::string, double>> TimeStages(
   NP_CHECK(conn.ok()) << conn.status().ToString();
   stages.emplace_back("connectome_build", clock.ElapsedSeconds());
   return stages;
+}
+
+// Per-stage medians over `passes` runs at 1 thread and at `threads`,
+// interleaved so that host drift hits both sides alike.
+using StageTimes = std::vector<std::pair<std::string, double>>;
+std::pair<StageTimes, StageTimes> MedianStages(
+    const image::Volume4D& run, const atlas::Atlas& atlas,
+    const preprocess::PipelineConfig& config, std::size_t threads,
+    std::size_t passes) {
+  std::vector<StageTimes> baseline;
+  std::vector<StageTimes> threaded;
+  for (std::size_t p = 0; p < passes; ++p) {
+    baseline.push_back(TimeStages(run, atlas, config, 1));
+    threaded.push_back(TimeStages(run, atlas, config, threads));
+  }
+  const auto median = [](const std::vector<StageTimes>& all) {
+    StageTimes out = all.front();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      std::vector<double> seconds;
+      for (const StageTimes& pass : all) {
+        NP_CHECK(pass.size() == out.size() && pass[i].first == out[i].first);
+        seconds.push_back(pass[i].second);
+      }
+      std::sort(seconds.begin(), seconds.end());
+      out[i].second = seconds[seconds.size() / 2];
+    }
+    return out;
+  };
+  return {median(baseline), median(threaded)};
 }
 
 }  // namespace
@@ -98,8 +130,10 @@ int main(int argc, char** argv) {
   preprocess::PipelineConfig config = preprocess::RestingStateConfig();
   config.registration.sample_stride = 2;
 
-  const auto baseline = TimeStages(*run, *atlas, config, 1);
-  const auto threaded = TimeStages(*run, *atlas, config, threads);
+  // An odd pass count makes the median one measured pass.
+  const std::size_t passes = bench::FastMode() ? 7 : 3;
+  const auto [baseline, threaded] =
+      MedianStages(*run, *atlas, config, threads, passes);
   NP_CHECK_EQ(baseline.size(), threaded.size());
 
   double total_1t = 0.0;
@@ -114,7 +148,8 @@ int main(int argc, char** argv) {
   csv.SetHeader({"stage", "seconds_1thread",
                  StrFormat("seconds_%zuthreads", threads), "speedup",
                  "percent_of_total"});
-  std::printf("\nthreads: %zu (baseline: 1)\n", threads);
+  std::printf("\nthreads: %zu (baseline: 1), median of %zu passes each\n",
+              threads, passes);
   std::printf("%-26s %12s %12s %8s %8s\n", "stage", "sec @1t",
               StrFormat("sec @%zut", threads).c_str(), "speedup", "share");
   for (std::size_t i = 0; i < baseline.size(); ++i) {
@@ -129,6 +164,7 @@ int main(int argc, char** argv) {
                 StrFormat("%.1f", 100.0 * sec_nt / total_nt)});
     json.BeginRecord(stage);
     json.AddField("threads", static_cast<double>(threads));
+    json.AddField("passes", static_cast<double>(passes));
     json.AddField("seconds_1thread", sec_1t);
     json.AddField("seconds_nthreads", sec_nt);
     json.AddField("speedup", speedup);

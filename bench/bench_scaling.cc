@@ -10,29 +10,36 @@
 // repo's kernel work: the tiled GEMM micro-kernels against the pre-tiling
 // naive triple loops (kept here as baselines), sketched leverage scoring
 // against the exact decomposition paths, the dispatched SIMD kernels
-// against the scalar reference table (per-ISA, with a bitwise-equality
-// assertion), and the blocked bidiagonalization against the serial
-// Householder reduction. Pass `--json=PATH` to also emit those
-// comparisons as a JSON record array (the committed BENCH_gemm.json); a
-// CSV lands next to the binary either way.
+// (including motion correction's registration cost) against the scalar
+// reference table (per-ISA, with a bitwise-equality assertion), and the
+// blocked bidiagonalization against the serial Householder reduction.
+// Pass `--json=PATH` to also emit those comparisons as a JSON record array
+// (the committed BENCH_gemm.json); a CSV lands next to the binary either
+// way.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "atlas/synthetic_atlas.h"
 #include "bench/bench_util.h"
 #include "connectome/connectome.h"
 #include "core/leverage.h"
 #include "core/matcher.h"
 #include "core/row_sampling.h"
 #include "core/tsne.h"
+#include "image/registration.h"
 #include "linalg/matrix.h"
 #include "linalg/simd/simd.h"
 #include "linalg/stats.h"
 #include "linalg/svd.h"
 #include "signal/filters.h"
+#include "sim/cohort.h"
+#include "sim/voxel_render.h"
 #include "util/check.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
@@ -364,6 +371,106 @@ void ReportKernelComparisons(bench::JsonReporter* json) {
 // asserted here — so the reported speedup can never come from a kernel
 // that silently changed the math. One JSON record per kernel per ISA
 // (BeginRecord stamps dispatch_isa while the override is active).
+// Motion correction's inner loop, image::RegistrationCost, on the
+// dispatched trilinear-SSD kernel: a fixed set of small rigid transforms
+// evaluates the last frame of a rendered run against its first, at the
+// pipeline's sample stride 2, on the perfbench scan grid (24x24x16). Fast
+// mode only repeats less, so its ratio is comparable with the committed
+// full-mode one. Seconds are per-side medians over the repetitions; the
+// costs must agree bit for bit.
+void ReportRegistrationCostIsa(bench::JsonReporter* json) {
+  namespace simd = linalg::simd;
+  atlas::SyntheticAtlasConfig atlas_config;
+  atlas_config.nx = 24;
+  atlas_config.ny = 24;
+  atlas_config.nz = 16;
+  atlas_config.num_regions = 32;
+  const auto atlas = atlas::GenerateSyntheticAtlas(atlas_config);
+  NP_CHECK(atlas.ok()) << atlas.status();
+  sim::CohortConfig cohort_config = sim::HcpLikeConfig();
+  cohort_config.num_subjects = 2;
+  cohort_config.num_regions = atlas->num_regions();
+  cohort_config.frames_override = 8;
+  const auto cohort = sim::CohortSimulator::Create(cohort_config);
+  NP_CHECK(cohort.ok()) << cohort.status();
+  const auto series = cohort->SimulateRegionSeries(0, sim::TaskType::kRest,
+                                                   sim::Encoding::kLeftRight);
+  NP_CHECK(series.ok()) << series.status();
+  sim::VoxelRenderConfig render;
+  render.motion_step = 0.1;
+  Rng render_rng(2024);
+  const auto run = sim::RenderVoxelRun(*atlas, *series, render, render_rng);
+  NP_CHECK(run.ok()) << run.status();
+  const image::Volume3D reference = run->ExtractVolume(0);
+  const image::Volume3D moving = run->ExtractVolume(run->nt() - 1);
+
+  Rng rng(77);
+  std::vector<image::RigidTransform> transforms(400);
+  for (image::RigidTransform& t : transforms) {
+    t = {rng.Uniform(-1.5, 1.5),   rng.Uniform(-1.5, 1.5),
+         rng.Uniform(-1.5, 1.5),   rng.Uniform(-0.05, 0.05),
+         rng.Uniform(-0.05, 0.05), rng.Uniform(-0.05, 0.05)};
+  }
+  const std::size_t stride = 2;
+  const int repetitions = bench::FastMode() ? 15 : 41;
+  const auto time_isa = [&](simd::Isa isa, std::vector<double>* costs) {
+    simd::ScopedIsa scoped(isa);
+    costs->clear();
+    Stopwatch clock;
+    for (const image::RigidTransform& t : transforms) {
+      costs->push_back(image::RegistrationCost(reference, moving, t, stride));
+    }
+    return clock.ElapsedSeconds();
+  };
+  // The sides alternate and the speedup is the median of the paired
+  // per-repetition ratios, so host drift cancels within each pair.
+  const simd::Isa best_isa = simd::BestSupportedIsa();
+  std::vector<double> scalar_costs;
+  std::vector<double> simd_costs;
+  std::vector<double> scalar_secs;
+  std::vector<double> simd_secs;
+  std::vector<double> ratios;
+  for (int rep = 0; rep < repetitions; ++rep) {
+    scalar_secs.push_back(time_isa(simd::Isa::kScalar, &scalar_costs));
+    simd_secs.push_back(time_isa(best_isa, &simd_costs));
+    ratios.push_back(scalar_secs.back() / simd_secs.back());
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double scalar_sec = median(scalar_secs);
+  const double simd_sec = median(simd_secs);
+  const double speedup = median(ratios);
+  for (std::size_t i = 0; i < transforms.size(); ++i) {
+    NP_CHECK(std::bit_cast<std::uint64_t>(scalar_costs[i]) ==
+             std::bit_cast<std::uint64_t>(simd_costs[i]))
+        << "registration_cost diverged between scalar and "
+        << simd::IsaName(best_isa) << " at transform " << i;
+  }
+  std::printf("%-24s %10.3fs %10.3fs %7.2fx\n", "registration_cost",
+              scalar_sec, simd_sec, speedup);
+  if (json == nullptr) return;
+  const double calls = static_cast<double>(transforms.size());
+  const auto record = [&](double sec) {
+    json->BeginRecord("isa/registration_cost");
+    json->AddField("nx", static_cast<double>(reference.nx()));
+    json->AddField("ny", static_cast<double>(reference.ny()));
+    json->AddField("nz", static_cast<double>(reference.nz()));
+    json->AddField("sample_stride", static_cast<double>(stride));
+    json->AddField("calls", calls);
+    json->AddField("seconds", sec);
+    json->AddField("us_per_call", 1e6 * sec / calls);
+  };
+  {
+    simd::ScopedIsa isa(simd::Isa::kScalar);
+    record(scalar_sec);
+  }
+  simd::ScopedIsa isa(best_isa);
+  record(simd_sec);
+  json->AddField("speedup_vs_scalar", speedup);
+}
+
 void ReportIsaKernels(bench::JsonReporter* json) {
   namespace simd = linalg::simd;
   const std::size_t rows = bench::FastMode() ? 6462 : 64620;
@@ -435,6 +542,7 @@ void ReportIsaKernels(bench::JsonReporter* json) {
       json->AddField("speedup_vs_scalar", speedup);
     }
   }
+  ReportRegistrationCostIsa(json);
   std::printf("\n");
 }
 

@@ -1,5 +1,6 @@
 #include "image/interpolate.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace neuroprint::image {
@@ -10,7 +11,11 @@ double SampleTrilinear(const Volume3D& v, double x, double y, double z,
   const double max_x = static_cast<double>(v.nx()) - 1.0;
   const double max_y = static_cast<double>(v.ny()) - 1.0;
   const double max_z = static_cast<double>(v.nz()) - 1.0;
-  if (x < 0.0 || y < 0.0 || z < 0.0 || x > max_x || y > max_y || z > max_z) {
+  // Written as a negated inside test so that NaN coordinates, for which
+  // every comparison is false, land outside instead of reaching the
+  // float-to-size_t casts below.
+  if (!(x >= 0.0 && x <= max_x && y >= 0.0 && y <= max_y && z >= 0.0 &&
+        z <= max_z)) {
     return outside_value;
   }
   const auto x0 = static_cast<std::size_t>(std::floor(x));

@@ -8,8 +8,8 @@
 namespace neuroprint::image {
 
 /// Trilinear interpolation at (x, y, z) in voxel coordinates. Coordinates
-/// outside the volume return `outside_value` (default 0, the background of
-/// a skull-stripped image).
+/// outside the volume, and NaN coordinates, return `outside_value`
+/// (default 0, the background of a skull-stripped image).
 double SampleTrilinear(const Volume3D& v, double x, double y, double z,
                        double outside_value = 0.0);
 

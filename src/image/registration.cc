@@ -5,8 +5,8 @@
 #include <cmath>
 #include <limits>
 
-#include "image/interpolate.h"
 #include "image/resample.h"
+#include "linalg/simd/simd.h"
 #include "util/fault.h"
 #include "util/metrics.h"
 
@@ -26,22 +26,18 @@ double RegistrationCost(const Volume3D& reference, const Volume3D& moving,
   auto inverse = InvertAffine(forward);
   if (!inverse.ok()) return std::numeric_limits<double>::infinity();
 
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (std::size_t z = 0; z < reference.nz(); z += stride) {
-    for (std::size_t y = 0; y < reference.ny(); y += stride) {
-      for (std::size_t x = 0; x < reference.nx(); x += stride) {
-        double sx, sy, sz;
-        ApplyAffine(*inverse, static_cast<double>(x), static_cast<double>(y),
-                    static_cast<double>(z), sx, sy, sz);
-        const double diff = SampleTrilinear(moving, sx, sy, sz) -
-                            static_cast<double>(reference.at(x, y, z));
-        sum += diff * diff;
-        ++count;
-      }
-    }
+  auto samples = [stride](std::size_t n) { return (n + stride - 1) / stride; };
+  const std::size_t count = samples(reference.nx()) *
+                            samples(reference.ny()) * samples(reference.nz());
+  if (count == 0) return 0.0;
+  double affine[12];
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) affine[4 * r + c] = (*inverse)(r, c);
   }
-  return count > 0 ? sum / static_cast<double>(count) : 0.0;
+  const double sum = linalg::simd::ActiveOps().trilinear_ssd(
+      affine, moving.data(), reference.data(), reference.nx(), reference.ny(),
+      reference.nz(), stride);
+  return sum / static_cast<double>(count);
 }
 
 Result<RegistrationResult> RegisterRigid(const Volume3D& reference,
@@ -56,6 +52,15 @@ Result<RegistrationResult> RegisterRigid(const Volume3D& reference,
   }
   if (!reference.AllFinite() || !moving.AllFinite()) {
     return Status::InvalidArgument("RegisterRigid: non-finite voxels");
+  }
+  // A NaN step never improves the cost, so the search would report the
+  // identity as a converged fit; reject it instead.
+  for (const double step :
+       {options.initial_translation_step, options.initial_rotation_step}) {
+    if (!std::isfinite(step) || step < 0.0) {
+      return Status::InvalidArgument(
+          "RegisterRigid: search steps must be finite and non-negative");
+    }
   }
 
   std::array<double, 6> params = {0, 0, 0, 0, 0, 0};

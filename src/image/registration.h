@@ -17,6 +17,7 @@ namespace neuroprint::image {
 
 struct RegistrationOptions {
   /// Initial search steps: voxels for translations, radians for rotations.
+  /// RegisterRigid rejects a negative or non-finite step.
   double initial_translation_step = 1.0;
   double initial_rotation_step = 0.02;
   /// The search halves the steps this many times (resolution levels).
@@ -38,7 +39,10 @@ struct RegistrationResult {
   double final_cost = 0.0;   ///< Mean squared error at the optimum.
 };
 
-/// Mean squared error between `reference` and `moving` resampled under `t`.
+/// Mean squared error between `reference` and `moving` resampled under `t`,
+/// over the voxels whose coordinates are multiples of `sample_stride`.
+/// The sum runs on the dispatched `linalg::simd` trilinear-SSD kernel, so
+/// the value is bit-identical on every ISA.
 double RegistrationCost(const Volume3D& reference, const Volume3D& moving,
                         const RigidTransform& t, std::size_t sample_stride = 1);
 

@@ -6,6 +6,8 @@
 #ifndef NEUROPRINT_LINALG_SIMD_KERNELS_H_
 #define NEUROPRINT_LINALG_SIMD_KERNELS_H_
 
+#include <cstddef>
+
 #include "linalg/simd/simd.h"
 
 namespace neuroprint::linalg::simd {
@@ -13,6 +15,12 @@ namespace neuroprint::linalg::simd {
 const Ops* GetScalarOps();  // never nullptr
 const Ops* GetAvx2Ops();    // nullptr unless built for x86-64
 const Ops* GetNeonOps();    // nullptr unless built for aarch64
+
+// The scalar registration-cost kernel, shared by every table: NEON points
+// at it directly and AVX2 defers to it for grids past 32-bit indices.
+double TrilinearSsdScalar(const double* affine, const float* moving,
+                          const float* reference, std::size_t nx,
+                          std::size_t ny, std::size_t nz, std::size_t stride);
 
 }  // namespace neuroprint::linalg::simd
 

@@ -250,7 +250,7 @@ constexpr Ops kNeonOps = {
     Isa::kNeon,       GemmMicroNeon,   DotNeon,
     SumNeon,          Nrm2SqNeon,      CssNeon,
     CenterNrm2SqNeon, CorrMomentsNeon, AxpyNeon,
-    CenterScaleNeon,  ScaleClampNeon,
+    CenterScaleNeon,  ScaleClampNeon,  TrilinearSsdScalar,
 };
 
 }  // namespace

@@ -14,8 +14,13 @@
 // element — never a fused multiply-add — which vector ISAs reproduce
 // exactly (their TUs compile with -ffp-contract=off so the compiler
 // cannot contract either).
+//
+// TrilinearSsdScalar is the one entry that sums serially instead (see
+// simd.h); its per-sample arithmetic is that of image::SampleTrilinear.
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
 #include "linalg/simd/kernels.h"
 #include "linalg/simd/simd.h"
@@ -174,13 +179,80 @@ void ScaleClampScalar(double* row, const double* denoms, std::size_t n,
 }
 
 constexpr Ops kScalarOps = {
-    Isa::kScalar,     GemmMicroScalar,   DotScalar,
-    SumScalar,        Nrm2SqScalar,      CssScalar,
-    CenterNrm2SqScalar, CorrMomentsScalar, AxpyScalar,
-    CenterScaleScalar, ScaleClampScalar,
+    Isa::kScalar,       GemmMicroScalar,    DotScalar,
+    SumScalar,          Nrm2SqScalar,       CssScalar,
+    CenterNrm2SqScalar, CorrMomentsScalar,  AxpyScalar,
+    CenterScaleScalar,  ScaleClampScalar,   TrilinearSsdScalar,
 };
 
+// floor(s) as an index for an in-range coordinate: truncation equals floor
+// for s >= 0 (and -0.0), and the signed conversion is one instruction
+// where std::floor is a libm call at the baseline x86-64 ISA.
+inline std::size_t FloorIndex(double s) {
+  return static_cast<std::size_t>(static_cast<std::int64_t>(s));
+}
+
 }  // namespace
+
+double TrilinearSsdScalar(const double* affine, const float* moving,
+                          const float* reference, std::size_t nx,
+                          std::size_t ny, std::size_t nz, std::size_t stride) {
+  const double max_x = static_cast<double>(nx) - 1.0;
+  const double max_y = static_cast<double>(ny) - 1.0;
+  const double max_z = static_cast<double>(nz) - 1.0;
+  const std::size_t plane = nx * ny;
+  double sum = 0.0;
+  for (std::size_t z = 0; z < nz; z += stride) {
+    const double zd = static_cast<double>(z);
+    const double z_x = affine[2] * zd;
+    const double z_y = affine[6] * zd;
+    const double z_z = affine[10] * zd;
+    for (std::size_t y = 0; y < ny; y += stride) {
+      const double yd = static_cast<double>(y);
+      const double y_x = affine[1] * yd;
+      const double y_y = affine[5] * yd;
+      const double y_z = affine[9] * yd;
+      const float* ref_row = reference + nx * (y + ny * z);
+      for (std::size_t x = 0; x < nx; x += stride) {
+        const double xd = static_cast<double>(x);
+        const double sx = affine[0] * xd + y_x + z_x + affine[3];
+        const double sy = affine[4] * xd + y_y + z_y + affine[7];
+        const double sz = affine[8] * xd + y_z + z_z + affine[11];
+        double sample = 0.0;
+        if (sx >= 0.0 && sx <= max_x && sy >= 0.0 && sy <= max_y &&
+            sz >= 0.0 && sz <= max_z) {
+          const std::size_t x0 = FloorIndex(sx);
+          const std::size_t y0 = FloorIndex(sy);
+          const std::size_t z0 = FloorIndex(sz);
+          const std::size_t x1 = std::min(x0 + 1, nx - 1);
+          const std::size_t y1 = std::min(y0 + 1, ny - 1);
+          const std::size_t z1 = std::min(z0 + 1, nz - 1);
+          const double fx = sx - static_cast<double>(x0);
+          const double fy = sy - static_cast<double>(y0);
+          const double fz = sz - static_cast<double>(z0);
+          const float* p00 = moving + nx * y0 + plane * z0;
+          const float* p10 = moving + nx * y1 + plane * z0;
+          const float* p01 = moving + nx * y0 + plane * z1;
+          const float* p11 = moving + nx * y1 + plane * z1;
+          const double c000 = p00[x0], c100 = p00[x1];
+          const double c010 = p10[x0], c110 = p10[x1];
+          const double c001 = p01[x0], c101 = p01[x1];
+          const double c011 = p11[x0], c111 = p11[x1];
+          const double c00 = c000 * (1 - fx) + c100 * fx;
+          const double c10 = c010 * (1 - fx) + c110 * fx;
+          const double c01 = c001 * (1 - fx) + c101 * fx;
+          const double c11 = c011 * (1 - fx) + c111 * fx;
+          const double c0 = c00 * (1 - fy) + c10 * fy;
+          const double c1 = c01 * (1 - fy) + c11 * fy;
+          sample = c0 * (1 - fz) + c1 * fz;
+        }
+        const double diff = sample - static_cast<double>(ref_row[x]);
+        sum += diff * diff;
+      }
+    }
+  }
+  return sum;
+}
 
 const Ops* GetScalarOps() { return &kScalarOps; }
 

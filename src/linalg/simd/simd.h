@@ -23,6 +23,14 @@
 // implement with the same arithmetic, making scalar the bitwise oracle
 // for the vector paths at any input length.
 //
+// One entry is the exception: `trilinear_ssd`, the registration cost of
+// image/registration.cc, sums serially in grid-visit order rather than
+// lane-split. Its sum predates the kernel, and every motion estimate
+// (hence the pinned voxel-pipeline goldens) depends on those exact bits;
+// reordering the sum would move them. It still vectorizes, because each
+// sample's coordinates and trilinear lerps are an independent output
+// lane; only the final `sum += diff * diff` is serial.
+//
 // Only files under src/linalg/simd/ may include <immintrin.h> or
 // <arm_neon.h> or name ISA-specific intrinsics (lint: simd-confinement).
 
@@ -91,6 +99,27 @@ struct Ops {
   // scale*denoms[j] are positive and finite (see ColumnCrossCorrelation).
   void (*scale_clamp)(double* row, const double* denoms, std::size_t n,
                       double scale);
+
+  // Registration cost over a whole grid: the sum of squared differences
+  // between `reference` and `moving` trilinearly resampled under a 3x4
+  // affine (row-major `affine[12]`, the top three rows of a 4x4).
+  // Both volumes are nx*ny*nz floats stored x-fastest. The visited grid
+  // points are those whose x, y and z are all multiples of `stride`
+  // (>= 1), taken z-y-x with x fastest. For each one:
+  //
+  //   sx = a[0]*x + a[1]*y + a[2]*z + a[3]   (left to right, no FMA;
+  //   sy, sz likewise from rows 1 and 2)      products may be hoisted)
+  //   sample = trilinear(moving, sx, sy, sz): 0.0 unless
+  //            0 <= s <= n-1 on every axis (NaN counts as outside);
+  //            corners floor(s) and min(floor(s)+1, n-1); seven lerps
+  //            c*(1-f) + c'*f along x, then y, then z
+  //   diff = sample - reference[x, y, z];  sum += diff*diff  (serially)
+  //
+  // The AVX2 kernel gathers with 32-bit indices and defers to the scalar
+  // kernel when nx*ny*nz exceeds INT32_MAX. NEON uses the scalar kernel.
+  double (*trilinear_ssd)(const double* affine, const float* moving,
+                          const float* reference, std::size_t nx,
+                          std::size_t ny, std::size_t nz, std::size_t stride);
 };
 
 /// The active dispatch table. Resolved once on first call (reading

@@ -1,8 +1,11 @@
 // Tests for volumes, affines, interpolation, resampling, smoothing,
 // masking, and rigid registration (including recovering known motion).
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,7 @@
 #include "image/resample.h"
 #include "image/smooth.h"
 #include "image/volume.h"
+#include "linalg/simd/simd.h"
 #include "util/random.h"
 
 namespace neuroprint::image {
@@ -129,6 +133,19 @@ TEST(InterpolateTest, OutsideReturnsBackground) {
   EXPECT_DOUBLE_EQ(SampleTrilinear(v, -0.5, 1, 1, -7.0), -7.0);
   EXPECT_DOUBLE_EQ(SampleTrilinear(v, 1, 1, 2.5, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(SampleNearest(v, 5, 1, 1, -7.0), -7.0);
+}
+
+TEST(InterpolateTest, NanCoordinatesReturnBackground) {
+  // Every ordered comparison with NaN is false, so a bounds test written
+  // as `x < 0 || x > max` let NaN through to the float-to-index casts.
+  const Volume3D v(3, 3, 3, 5.0f);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(SampleTrilinear(v, nan, 1, 1, -7.0), -7.0);
+  EXPECT_EQ(SampleTrilinear(v, 1, nan, 1, -7.0), -7.0);
+  EXPECT_EQ(SampleTrilinear(v, 1, 1, nan, -7.0), -7.0);
+  EXPECT_EQ(SampleTrilinear(v, nan, nan, nan, -7.0), -7.0);
+  // The upper face itself is inside.
+  EXPECT_EQ(SampleTrilinear(v, 2.0, 2.0, 2.0, -7.0), 5.0);
 }
 
 TEST(ResampleTest, IdentityRigidKeepsVolume) {
@@ -331,6 +348,97 @@ TEST(RegistrationTest, CostIsZeroAtPerfectAlignment) {
   RigidTransform off;
   off.translate_x = 1.0;
   EXPECT_GT(RegistrationCost(v, v, off), 1.0);
+}
+
+TEST(RegistrationTest, RejectsNonFiniteOrNegativeSteps) {
+  const Volume3D reference = BlobVolume(8, 4, 4, 4);
+  const Volume3D moving = BlobVolume(8, 4.5, 4, 4);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), -0.5}) {
+    RegistrationOptions translation;
+    translation.initial_translation_step = bad;
+    const auto t = RegisterRigid(reference, moving, translation);
+    ASSERT_FALSE(t.ok()) << bad;
+    EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument) << bad;
+    RegistrationOptions rotation;
+    rotation.initial_rotation_step = bad;
+    const auto r = RegisterRigid(reference, moving, rotation);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  // Zero steps are a valid (if useless) search: it stays at the identity.
+  RegistrationOptions zero;
+  zero.initial_translation_step = 0.0;
+  zero.initial_rotation_step = 0.0;
+  const auto reg = RegisterRigid(reference, moving, zero);
+  ASSERT_TRUE(reg.ok()) << reg.status();
+  EXPECT_TRUE(reg->transform.IsApproxIdentity(0.0));
+}
+
+// The per-sample loop RegistrationCost ran before it moved onto the
+// dispatched linalg::simd kernel: ApplyAffine + bounds-checked
+// SampleTrilinear per visited voxel, summed serially in z-y-x order.
+double OracleRegistrationCost(const Volume3D& reference,
+                              const Volume3D& moving, const RigidTransform& t,
+                              std::size_t stride) {
+  const double cx = 0.5 * (static_cast<double>(moving.nx()) - 1.0);
+  const double cy = 0.5 * (static_cast<double>(moving.ny()) - 1.0);
+  const double cz = 0.5 * (static_cast<double>(moving.nz()) - 1.0);
+  const auto inverse = InvertAffine(RigidToAffine(t, cx, cy, cz));
+  EXPECT_TRUE(inverse.ok());
+  double sum = 0.0;
+  std::size_t count = 0;
+  for (std::size_t z = 0; z < reference.nz(); z += stride) {
+    for (std::size_t y = 0; y < reference.ny(); y += stride) {
+      for (std::size_t x = 0; x < reference.nx(); x += stride) {
+        double sx, sy, sz;
+        ApplyAffine(*inverse, static_cast<double>(x), static_cast<double>(y),
+                    static_cast<double>(z), sx, sy, sz);
+        const double diff = SampleTrilinear(moving, sx, sy, sz) -
+                            static_cast<double>(reference.at(x, y, z));
+        sum += diff * diff;
+        ++count;
+      }
+    }
+  }
+  return count > 0 ? sum / static_cast<double>(count) : 0.0;
+}
+
+TEST(RegistrationTest, CostMatchesPerSampleOracleBitwiseOnEveryIsa) {
+  // Odd, non-cubic dims give row tails at every stride; translations of up
+  // to 5 voxels push whole lanes past each face; whole-voxel translations
+  // land samples exactly on the upper faces.
+  Rng rng(808);
+  Volume3D reference(13, 9, 7);
+  Volume3D moving(13, 9, 7);
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    reference.flat()[i] = static_cast<float>(100.0 * rng.Gaussian());
+    moving.flat()[i] = static_cast<float>(100.0 * rng.Gaussian());
+  }
+  std::vector<RigidTransform> transforms = {
+      RigidTransform{}, RigidTransform{1, 0, 0, 0, 0, 0},
+      RigidTransform{0, -2, 3, 0, 0, 0}, RigidTransform{-1, 1, -1, 0, 0, 0}};
+  for (int i = 0; i < 200; ++i) {
+    transforms.push_back({rng.Uniform(-5, 5), rng.Uniform(-5, 5),
+                          rng.Uniform(-5, 5), rng.Uniform(-0.4, 0.4),
+                          rng.Uniform(-0.4, 0.4), rng.Uniform(-0.4, 0.4)});
+  }
+  for (const std::size_t stride : {1ul, 2ul, 3ul}) {
+    for (const RigidTransform& t : transforms) {
+      const double oracle =
+          OracleRegistrationCost(reference, moving, t, stride);
+      for (const linalg::simd::Isa isa :
+           {linalg::simd::Isa::kScalar, linalg::simd::BestSupportedIsa()}) {
+        const linalg::simd::ScopedIsa scoped(isa);
+        const double cost = RegistrationCost(reference, moving, t, stride);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(cost),
+                  std::bit_cast<std::uint64_t>(oracle))
+            << linalg::simd::IsaName(isa) << " stride " << stride << ": "
+            << cost << " vs " << oracle;
+      }
+    }
+  }
 }
 
 TEST(RegistrationTest, RejectsMismatchedDims) {

@@ -4,9 +4,11 @@
 // addition is non-associative, so these tests fail loudly if any kernel's
 // chunking or accumulation order ever depends on the thread count.
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "core/knn.h"
 #include "core/matcher.h"
 #include "core/tsne.h"
+#include "image/interpolate.h"
 #include "image/registration.h"
 #include "image/resample.h"
 #include "image/smooth.h"
@@ -267,7 +270,13 @@ TEST(ParallelInvarianceTest, MotionCorrection) {
   const image::Volume4D run = MovingBlobRun(12, 9);
   image::RegistrationOptions options;
   options.sample_stride = 2;
-  const auto mc1 = image::MotionCorrect(run, options, ParallelContext{1});
+  // The scalar kernels are the reference; the best ISA's registration cost
+  // must reproduce them, at every thread count below.
+  Result<image::MotionCorrectionResult> mc1 = Status::Internal("unset");
+  {
+    linalg::simd::ScopedIsa scalar(linalg::simd::Isa::kScalar);
+    mc1 = image::MotionCorrect(run, options, ParallelContext{1});
+  }
   ASSERT_TRUE(mc1.ok());
   // Frames really move, so each one is resampled, not just copied.
   for (std::size_t t = 1; t < run.nt(); ++t) {
@@ -835,6 +844,125 @@ TEST(SimdParityTest, DegenerateNormsTakeTheSameBranchOnEveryIsa) {
         linalg::ColumnCrossCorrelation(a, b, ParallelContext{1});
   });
   ExpectBitwiseEqual(scalar_xc, simd_xc, "ColumnCrossCorrelation degenerate");
+}
+
+// The registration cost kernel sums serially rather than lane-split, but
+// its per-sample arithmetic is lane-parallel on AVX2: every ISA must still
+// give the same bits, and those bits must be the per-sample SampleTrilinear
+// loop's.
+double TrilinearSsdOracle(const std::array<double, 12>& a,
+                          const image::Volume3D& moving,
+                          const image::Volume3D& reference,
+                          std::size_t stride) {
+  double sum = 0.0;
+  for (std::size_t z = 0; z < reference.nz(); z += stride) {
+    for (std::size_t y = 0; y < reference.ny(); y += stride) {
+      for (std::size_t x = 0; x < reference.nx(); x += stride) {
+        const double xd = static_cast<double>(x);
+        const double yd = static_cast<double>(y);
+        const double zd = static_cast<double>(z);
+        const double sx = a[0] * xd + a[1] * yd + a[2] * zd + a[3];
+        const double sy = a[4] * xd + a[5] * yd + a[6] * zd + a[7];
+        const double sz = a[8] * xd + a[9] * yd + a[10] * zd + a[11];
+        const double diff = image::SampleTrilinear(moving, sx, sy, sz) -
+                            static_cast<double>(reference.at(x, y, z));
+        sum += diff * diff;
+      }
+    }
+  }
+  return sum;
+}
+
+void ExpectTrilinearSsdParity(const std::array<double, 12>& affine,
+                              const image::Volume3D& moving,
+                              const image::Volume3D& reference,
+                              std::size_t stride, const char* label) {
+  double scalar = 0.0;
+  double simd = 0.0;
+  ForBothIsas([&](bool is_scalar) {
+    (is_scalar ? scalar : simd) = linalg::simd::ActiveOps().trilinear_ssd(
+        affine.data(), moving.data(), reference.data(), reference.nx(),
+        reference.ny(), reference.nz(), stride);
+  });
+  const double oracle = TrilinearSsdOracle(affine, moving, reference, stride);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(scalar),
+            std::bit_cast<std::uint64_t>(simd))
+      << label << " " << reference.nx() << "x" << reference.ny() << "x"
+      << reference.nz() << " stride " << stride << ": " << scalar << " vs "
+      << simd;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(scalar),
+            std::bit_cast<std::uint64_t>(oracle))
+      << label << " vs SampleTrilinear oracle, stride " << stride;
+}
+
+image::Volume3D RandomVolume(std::size_t nx, std::size_t ny, std::size_t nz,
+                             Rng& rng) {
+  image::Volume3D v(nx, ny, nz);
+  for (float& value : v.flat()) {
+    value = static_cast<float>(100.0 * rng.Gaussian());
+  }
+  return v;
+}
+
+TEST(SimdParityTest, TrilinearSsdRowTailsFacesAndStrides) {
+  struct Dims {
+    std::size_t nx, ny, nz;
+  };
+  // Row lengths that are not multiples of 4 * stride (tails of 1..3
+  // lanes), the 1x1x1 volume and one-voxel-thick slabs along each axis.
+  constexpr Dims kDims[] = {{1, 1, 1},  {2, 3, 1},  {1, 5, 4},  {7, 1, 3},
+                            {5, 4, 1},  {9, 6, 5},  {13, 7, 4}, {16, 5, 3},
+                            {17, 3, 3}, {25, 4, 2}};
+  Rng rng(4321);
+  for (const Dims& d : kDims) {
+    const image::Volume3D reference = RandomVolume(d.nx, d.ny, d.nz, rng);
+    const image::Volume3D moving = RandomVolume(d.nx, d.ny, d.nz, rng);
+    for (const std::size_t stride : {1ul, 2ul, 3ul}) {
+      // The identity lands every sample exactly on a voxel, including the
+      // upper faces (the x1/y1/z1 clamp); whole-voxel shifts push whole
+      // lanes past the lower and upper face of each axis.
+      ExpectTrilinearSsdParity({1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0}, moving,
+                               reference, stride, "identity");
+      for (int axis = 0; axis < 3; ++axis) {
+        for (const double shift : {-2.0, -1.0, 1.0, 2.0}) {
+          std::array<double, 12> a = {1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0};
+          a[4 * static_cast<std::size_t>(axis) + 3] = shift;
+          ExpectTrilinearSsdParity(a, moving, reference, stride, "face shift");
+        }
+      }
+      // Random near-rigid affines with translations of up to a few voxels.
+      for (int i = 0; i < 40; ++i) {
+        std::array<double, 12> a{};
+        for (std::size_t r = 0; r < 3; ++r) {
+          for (std::size_t c = 0; c < 3; ++c) {
+            a[4 * r + c] = (r == c ? 1.0 : 0.0) + rng.Uniform(-0.3, 0.3);
+          }
+          a[4 * r + 3] = rng.Uniform(-4.0, 4.0);
+        }
+        ExpectTrilinearSsdParity(a, moving, reference, stride, "random");
+      }
+    }
+  }
+}
+
+TEST(SimdParityTest, TrilinearSsdNanCoordinatesSampleOutside) {
+  Rng rng(99);
+  const image::Volume3D reference = RandomVolume(11, 5, 4, rng);
+  const image::Volume3D moving = RandomVolume(11, 5, 4, rng);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::size_t stride : {1ul, 2ul, 3ul}) {
+    for (std::size_t axis = 0; axis < 3; ++axis) {
+      // A NaN offset makes every coordinate on that axis NaN.
+      std::array<double, 12> a = {1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0};
+      a[4 * axis + 3] = nan;
+      ExpectTrilinearSsdParity(a, moving, reference, stride, "NaN offset");
+      // inf * 0 is NaN only in the x == 0 lane; the other lanes are +inf.
+      a = {1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0};
+      a[4 * axis] = inf;
+      ExpectTrilinearSsdParity(a, moving, reference, stride, "inf slope");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -178,6 +178,7 @@ class Fnv1a {
 constexpr std::uint64_t kGoldenMotionParamsHash = 0x7d3a5d3cc9b4f388ull;
 constexpr std::uint64_t kGoldenCorrectedRunHash = 0x76c0c0d087241992ull;
 constexpr std::uint64_t kGoldenRegionSeriesHash = 0xb871502976e11295ull;
+constexpr std::uint64_t kGoldenFinalCostsHash = 0x608b997c176b98c5ull;
 
 class VoxelPipelineGoldenTest : public ::testing::Test {
  protected:
@@ -240,6 +241,18 @@ TEST_F(VoxelPipelineGoldenTest, MotionCorrectionMatchesGoldens) {
       << "motion parameters moved: 0x" << std::hex << params.value();
   EXPECT_EQ(corrected.value(), kGoldenCorrectedRunHash)
       << "corrected run moved: 0x" << std::hex << corrected.value();
+
+  // The cost at every estimate, bit for bit: a cost that moved by one ULP
+  // rarely changes a search decision, so the hashes above would miss it.
+  const image::Volume3D reference = run_.ExtractVolume(0);
+  Fnv1a costs;
+  for (std::size_t t = 0; t < run_.nt(); ++t) {
+    costs.Add(image::RegistrationCost(reference, run_.ExtractVolume(t),
+                                      mc->motion[t],
+                                      config_.registration.sample_stride));
+  }
+  EXPECT_EQ(costs.value(), kGoldenFinalCostsHash)
+      << "registration costs moved: 0x" << std::hex << costs.value();
 }
 
 TEST_F(VoxelPipelineGoldenTest, RunPipelineMatchesGoldens) {
