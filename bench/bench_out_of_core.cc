@@ -12,10 +12,19 @@
 // mode (the 5k-subject gallery) the materialized peak must be >= 4x the
 // streamed peak — the ROADMAP acceptance bar for the out-of-core path.
 //
+// A third phase times the paper's Figure-5 attack shape (a 64620 x 24
+// NPGM store, 100 selected features) at every scale: interleaved reps of
+// in-RAM Identify and file-backed IdentifyStreamed, each pair checked
+// bitwise-equal, reported as medians and `streamed_over_in_ram` (the
+// bench-smoke gate). It runs last, so its peak RSS includes the phases
+// before it.
+//
 // Flags: `--threads=N`, `--json=PATH` (BENCH_out_of_core.json in CI).
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -28,6 +37,7 @@
 #include "bench/bench_util.h"
 #include "connectome/group_matrix_io.h"
 #include "connectome/matrix_store.h"
+#include "core/attack.h"
 #include "service/identification_index.h"
 #include "service/synthetic_gallery.h"
 #include "util/stopwatch.h"
@@ -91,6 +101,87 @@ void CheckBitwiseParity(const service::BatchIdentifyResult& streamed,
   }
   NP_CHECK(std::bit_cast<std::uint64_t>(streamed.accuracy) ==
            std::bit_cast<std::uint64_t>(materialized.accuracy));
+}
+
+// The streamed-vs-in-RAM contract at the paper shape: identical
+// similarity bits, predictions and accuracy.
+void CheckSameAttackResult(const core::AttackResult& ram,
+                           const core::AttackResult& streamed) {
+  NP_CHECK(ram.similarity.rows() == streamed.similarity.rows() &&
+           ram.similarity.cols() == streamed.similarity.cols());
+  NP_CHECK(std::memcmp(ram.similarity.data(), streamed.similarity.data(),
+                       ram.similarity.size() * sizeof(double)) == 0)
+      << "streamed similarity bits diverged from in-RAM";
+  NP_CHECK(ram.predicted_index == streamed.predicted_index);
+  NP_CHECK(ram.predicted_ids == streamed.predicted_ids);
+  NP_CHECK(std::bit_cast<std::uint64_t>(ram.accuracy) ==
+           std::bit_cast<std::uint64_t>(streamed.accuracy));
+}
+
+double MedianMs(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  return n % 2 == 1 ? samples[n / 2]
+                    : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
+}
+
+// Phase 3: Identify vs IdentifyStreamed at the Figure-5 shape, the same
+// size in fast and full mode (only the rep count shrinks).
+void RunAttackPhase(std::size_t flag_threads, bool fast,
+                    const std::string& npgm_path, bench::JsonReporter* json) {
+  service::SyntheticGalleryConfig cohort;
+  cohort.num_subjects = 24;
+  cohort.num_features = 64620;  // 360 regions, upper triangle.
+  cohort.seed = 0x0f16u;
+  cohort.parallel.num_threads = flag_threads;
+  auto known = service::MakeSyntheticGallery(cohort, 0);
+  auto anonymous = service::MakeSyntheticGallery(cohort, 1);
+  NP_CHECK(known.ok() && anonymous.ok());
+  NP_CHECK(connectome::WriteGroupMatrix(npgm_path, *anonymous).ok());
+  auto store = connectome::FileMatrixStore::Open(npgm_path);
+  NP_CHECK(store.ok()) << store.status().ToString();
+
+  core::AttackOptions options;
+  options.num_features = 100;
+  options.parallel.num_threads = flag_threads;
+  auto attack = core::DeanonymizationAttack::Fit(*known, options);
+  NP_CHECK(attack.ok()) << attack.status().ToString();
+  connectome::StreamOptions stream;
+  stream.parallel.num_threads = flag_threads;
+
+  const std::size_t reps = fast ? 15 : 41;
+  std::vector<double> ram_ms, streamed_ms;
+  double accuracy = 0.0;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    Stopwatch ram_clock;
+    auto ram = attack->Identify(*anonymous);
+    ram_ms.push_back(ram_clock.ElapsedSeconds() * 1e3);
+    Stopwatch streamed_clock;
+    auto streamed = attack->IdentifyStreamed(**store, stream);
+    streamed_ms.push_back(streamed_clock.ElapsedSeconds() * 1e3);
+    NP_CHECK(ram.ok() && streamed.ok());
+    CheckSameAttackResult(*ram, *streamed);
+    accuracy = ram->accuracy;
+  }
+  const double ram_median = MedianMs(ram_ms);
+  const double streamed_median = MedianMs(streamed_ms);
+  const double ratio = streamed_median / ram_median;
+  std::printf("attack       %zu x %zu, %zu features, %zu reps  in-RAM "
+              "%.2f ms  streamed %.2f ms  streamed/in-RAM %.2fx  "
+              "accuracy %.4f\n",
+              cohort.num_features, cohort.num_subjects, options.num_features,
+              reps, ram_median, streamed_median, ratio, accuracy);
+
+  json->BeginRecord("attack_identify_streamed");
+  json->AddField("features", static_cast<double>(cohort.num_features));
+  json->AddField("subjects", static_cast<double>(cohort.num_subjects));
+  json->AddField("attack_features", static_cast<double>(options.num_features));
+  json->AddField("reps", static_cast<double>(reps));
+  json->AddField("in_ram_identify_ms", ram_median);
+  json->AddField("streamed_identify_ms", streamed_median);
+  json->AddField("streamed_over_in_ram", ratio);
+  json->AddField("accuracy", accuracy);
+  std::remove(npgm_path.c_str());
 }
 
 }  // namespace
@@ -237,6 +328,8 @@ int main(int argc, char** argv) {
   json.AddField("top1_accuracy", streamed_result->accuracy);
 
   std::remove(npgm_path.c_str());
+
+  RunAttackPhase(flag_threads, fast, npgm_path, &json);
   bench::WriteJsonOrDie(json, json_path);
   return 0;
 }

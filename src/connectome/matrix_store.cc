@@ -66,38 +66,34 @@ Status FileMatrixStore::ReadTile(std::size_t row0, std::size_t row_count,
                                  std::size_t col0, std::size_t col_count,
                                  linalg::Matrix* out) const {
   NP_RETURN_IF_ERROR(CheckTileBounds(*this, row0, row_count, col0, col_count));
-  *out = linalg::Matrix(row_count, col_count);
+  // Every element is overwritten below, so a caller's same-shape tile is
+  // reused as is.
+  if (out->rows() != row_count || out->cols() != col_count) {
+    *out = linalg::Matrix(row_count, col_count);
+  }
   if (row_count == 0 || col_count == 0) return Status::OK();
 
   std::lock_guard<std::mutex> lock(mutex_);
   encoded_.resize(row_count * sizeof(double));
-  std::vector<double> column(row_count);
   for (std::size_t c = 0; c < col_count; ++c) {
     const std::size_t j = col0 + c;
+    fault::Injection injection;
     if (fault::Enabled()) {
-      const fault::Injection injection =
-          fault::Hit("io.stream", static_cast<std::uint64_t>(j));
+      injection = fault::Hit("io.stream", static_cast<std::uint64_t>(j));
       if (injection.action == fault::Action::kError) return injection.status;
-      if (injection.action != fault::Action::kNone) {
-        // Corrupt / poison the column after decoding (below).
-        NP_RETURN_IF_ERROR(ReadColumnBytes(j, row0, row_count));
-        for (std::size_t r = 0; r < row_count; ++r) {
-          column[r] = ReadLE<double>(encoded_.data() + r * sizeof(double));
-        }
-        if (injection.action == fault::Action::kCorrupt) {
-          fault::ScrambleBytes(injection.seed, column.data(),
-                               row_count * sizeof(double));
-        } else {
-          std::fill(column.begin(), column.end(),
-                    std::numeric_limits<double>::quiet_NaN());
-        }
-        for (std::size_t r = 0; r < row_count; ++r) (*out)(r, c) = column[r];
-        continue;
-      }
     }
     NP_RETURN_IF_ERROR(ReadColumnBytes(j, row0, row_count));
+    double* dst = out->data() + c;  // A one-column tile is contiguous.
+    if (injection.action == fault::Action::kCorrupt) {
+      fault::ScrambleBytes(injection.seed, encoded_.data(), encoded_.size());
+    } else if (injection.action != fault::Action::kNone) {
+      for (std::size_t r = 0; r < row_count; ++r) {
+        dst[r * col_count] = std::numeric_limits<double>::quiet_NaN();
+      }
+      continue;
+    }
     for (std::size_t r = 0; r < row_count; ++r) {
-      (*out)(r, c) = ReadLE<double>(encoded_.data() + r * sizeof(double));
+      dst[r * col_count] = ReadLE<double>(encoded_.data() + r * sizeof(double));
     }
   }
   return Status::OK();

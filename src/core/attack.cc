@@ -10,33 +10,28 @@
 namespace neuroprint::core {
 namespace {
 
-// Screens a group matrix for unusable subjects (any non-finite value in
-// the feature column) and resolves the batch against `policy`: fail-fast
-// errors on the lowest-index bad subject, skip/quorum record the drops in
-// `report` (stage = `stage`) and return the surviving column indices.
-Result<std::vector<std::size_t>> ScreenSubjects(
-    const connectome::GroupMatrix& matrix, const FailurePolicy& policy,
+// Turns per-subject finite flags into the surviving column indices,
+// records each unusable subject in `report` (stage = `stage`) and
+// resolves the batch against `policy`: fail-fast errors on the
+// lowest-index bad subject, skip/quorum keep the survivors.
+Result<std::vector<std::size_t>> ResolveScreen(
+    const std::vector<unsigned char>& finite,
+    const std::vector<std::string>& ids, const FailurePolicy& policy,
     const char* stage, BatchReport* report) {
   BatchReport local_report;
   if (report == nullptr) report = &local_report;
   report->Clear();
-  report->attempted = matrix.num_subjects();
-
-  const linalg::Matrix& data = matrix.data();
+  report->attempted = finite.size();
   std::vector<std::size_t> survivors;
-  survivors.reserve(matrix.num_subjects());
-  for (std::size_t j = 0; j < matrix.num_subjects(); ++j) {
-    bool finite = true;
-    for (std::size_t i = 0; i < matrix.num_features() && finite; ++i) {
-      finite = std::isfinite(data(i, j));
-    }
-    if (finite) {
+  survivors.reserve(finite.size());
+  for (std::size_t j = 0; j < finite.size(); ++j) {
+    if (finite[j]) {
       survivors.push_back(j);
       continue;
     }
     BatchItemReport item;
     item.index = j;
-    item.id = matrix.subject_ids()[j];
+    item.id = ids[j];
     item.stage = stage;
     item.status = Status::CorruptData(StrFormat(
         "subject %s has non-finite feature values", item.id.c_str()));
@@ -49,74 +44,57 @@ Result<std::vector<std::size_t>> ScreenSubjects(
   return survivors;
 }
 
-// Streamed twin of ScreenSubjects: windows the columns through RAM and
-// applies the identical finiteness screen, producing the same survivors
-// and the same report entries as screening the materialized matrix.
-Result<std::vector<std::size_t>> ScreenSubjectsStreamed(
-    const connectome::MatrixStore& store, std::size_t window_cols,
-    const FailurePolicy& policy, const char* stage, BatchReport* report) {
-  BatchReport local_report;
-  if (report == nullptr) report = &local_report;
-  report->Clear();
-  report->attempted = store.num_subjects();
-
-  const std::size_t w = connectome::DeriveWindowCols(
-      store.num_features(), store.num_subjects(), window_cols);
-  std::vector<std::size_t> survivors;
-  survivors.reserve(store.num_subjects());
-  linalg::Matrix slab;
-  for (std::size_t c0 = 0; c0 < store.num_subjects(); c0 += w) {
-    const std::size_t wc = std::min(w, store.num_subjects() - c0);
-    NP_RETURN_IF_ERROR(store.ReadColumns(c0, wc, &slab));
-    for (std::size_t c = 0; c < wc; ++c) {
-      const std::size_t j = c0 + c;
-      bool finite = true;
-      for (std::size_t i = 0; i < store.num_features() && finite; ++i) {
-        finite = std::isfinite(slab(i, c));
-      }
-      if (finite) {
-        survivors.push_back(j);
-        continue;
-      }
-      BatchItemReport item;
-      item.index = j;
-      item.id = store.subject_ids()[j];
-      item.stage = stage;
-      item.status = Status::CorruptData(StrFormat(
-          "subject %s has non-finite feature values", item.id.c_str()));
-      report->failed.push_back(std::move(item));
+// Screens a group matrix for unusable subjects (any non-finite value in
+// the feature column) in one row-order sweep; see ResolveScreen.
+Result<std::vector<std::size_t>> ScreenSubjects(
+    const connectome::GroupMatrix& matrix, const FailurePolicy& policy,
+    const char* stage, BatchReport* report) {
+  std::vector<unsigned char> finite(matrix.num_subjects(), 1);
+  for (std::size_t i = 0; i < matrix.num_features(); ++i) {
+    const double* row = matrix.data().RowPtr(i);
+    for (std::size_t j = 0; j < finite.size(); ++j) {
+      finite[j] &= std::isfinite(row[j]);
     }
   }
-  NP_RETURN_IF_ERROR(ResolveBatch(policy, *report));
-  if (!report->failed.empty()) {
-    metrics::Count("batch.subjects_skipped", report->failed.size());
-  }
-  return survivors;
+  return ResolveScreen(finite, matrix.subject_ids(), policy, stage, report);
 }
 
-// Windowed gather of the selected feature rows — the streamed analogue of
-// RestrictToFeatures: same values, same subject ids, never more than one
-// column window resident.
-Result<connectome::GroupMatrix> GatherFeatureRows(
-    const connectome::MatrixStore& store, const std::vector<std::size_t>& rows,
-    std::size_t window_cols) {
+// The streamed screen and gather in one pass: reads `store` one
+// contiguous column at a time, so one column is resident whatever the
+// window. Screens exactly as ScreenSubjects does and, when `reduced` is
+// set, fills it with the feature `rows` of the survivors — the values
+// RestrictToSubjects + RestrictToFeatures give on the materialized
+// matrix. Store read errors propagate under every policy.
+Result<std::vector<std::size_t>> ScanStore(
+    const connectome::MatrixStore& store, const FailurePolicy& policy,
+    const char* stage, BatchReport* report,
+    const std::vector<std::size_t>& rows = {},
+    connectome::GroupMatrix* reduced = nullptr) {
   const std::size_t n = store.num_subjects();
-  const std::size_t w =
-      connectome::DeriveWindowCols(store.num_features(), n, window_cols);
-  std::vector<linalg::Vector> columns(n);
-  linalg::Matrix slab;
-  for (std::size_t c0 = 0; c0 < n; c0 += w) {
-    const std::size_t wc = std::min(w, n - c0);
-    NP_RETURN_IF_ERROR(store.ReadColumns(c0, wc, &slab));
-    for (std::size_t c = 0; c < wc; ++c) {
-      columns[c0 + c].resize(rows.size());
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        columns[c0 + c][i] = slab(rows[i], c);
-      }
+  std::vector<unsigned char> finite(n);
+  std::vector<linalg::Vector> gathered(reduced != nullptr ? n : 0);
+  linalg::Matrix column;
+  for (std::size_t j = 0; j < n; ++j) {
+    NP_RETURN_IF_ERROR(store.ReadColumns(j, 1, &column));
+    const double* values = column.data();
+    finite[j] = std::all_of(values, values + column.size(),
+                            [](double x) { return std::isfinite(x); });
+    if (reduced == nullptr) continue;
+    gathered[j].resize(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      gathered[j][i] = values[rows[i]];
     }
   }
-  return connectome::GroupMatrix::FromFeatureColumns(columns,
-                                                     store.subject_ids());
+  std::vector<std::size_t> survivors;
+  NP_ASSIGN_OR_RETURN(survivors, ResolveScreen(finite, store.subject_ids(),
+                                               policy, stage, report));
+  if (reduced == nullptr) return survivors;
+  NP_ASSIGN_OR_RETURN(*reduced, connectome::GroupMatrix::FromFeatureColumns(
+                                    gathered, store.subject_ids()));
+  if (survivors.size() < n) {
+    NP_ASSIGN_OR_RETURN(*reduced, reduced->RestrictToSubjects(survivors));
+  }
+  return survivors;
 }
 
 }  // namespace
@@ -137,9 +115,12 @@ Result<DeanonymizationAttack> DeanonymizationAttack::Fit(
         "DeanonymizationAttack: need at least 2 known subjects");
   }
   std::vector<std::size_t> survivors;
-  NP_ASSIGN_OR_RETURN(survivors,
-                      ScreenSubjects(known, options.failure_policy,
-                                     "fit_screen", report));
+  {
+    NP_TRACE_SCOPE("attack.fit.screen");
+    NP_ASSIGN_OR_RETURN(survivors,
+                        ScreenSubjects(known, options.failure_policy,
+                                       "fit_screen", report));
+  }
   connectome::GroupMatrix screened_known;
   const connectome::GroupMatrix* fit_known = &known;
   if (survivors.size() < known.num_subjects()) {
@@ -199,10 +180,11 @@ Result<DeanonymizationAttack> DeanonymizationAttack::FitStreamed(
         "DeanonymizationAttack: need at least 2 known subjects");
   }
   std::vector<std::size_t> survivors;
-  NP_ASSIGN_OR_RETURN(
-      survivors, ScreenSubjectsStreamed(known, stream.window_cols,
-                                        options.failure_policy, "fit_screen",
-                                        report));
+  {
+    NP_TRACE_SCOPE("attack.fit.screen");
+    NP_ASSIGN_OR_RETURN(survivors, ScanStore(known, options.failure_policy,
+                                             "fit_screen", report));
+  }
   std::optional<connectome::SubsetColumnsStore> screened_known;
   const connectome::MatrixStore* fit_known = &known;
   if (survivors.size() < known.num_subjects()) {
@@ -231,10 +213,14 @@ Result<DeanonymizationAttack> DeanonymizationAttack::FitStreamed(
         "DeanonymizationAttack: fewer than 2 usable features");
   }
   NP_TRACE_SCOPE("attack.fit.restrict");
-  auto reduced = GatherFeatureRows(*fit_known, attack.selected_features_,
-                                   stream.window_cols);
-  if (!reduced.ok()) return reduced.status();
-  attack.reduced_known_ = std::move(reduced).value();
+  // Every column passed the screen above, so fail-fast here only fires if
+  // a column reads back differently (an `io.stream` schedule can do that)
+  // — never letting non-finite values into the reduced matrix.
+  NP_RETURN_IF_ERROR(ScanStore(*fit_known, FailurePolicy::FailFast(),
+                               "fit_screen", nullptr,
+                               attack.selected_features_,
+                               &attack.reduced_known_)
+                         .status());
   attack.full_feature_count_ = known.num_features();
   attack.parallel_ = options.parallel;
   attack.trace_ = options.trace;
@@ -264,8 +250,11 @@ Result<AttackResult> DeanonymizationAttack::Identify(
         anonymous.num_features(), full_feature_count_));
   }
   std::vector<std::size_t> survivors;
-  NP_ASSIGN_OR_RETURN(survivors, ScreenSubjects(anonymous, failure_policy_,
-                                                "identify_screen", report));
+  {
+    NP_TRACE_SCOPE("attack.identify.screen");
+    NP_ASSIGN_OR_RETURN(survivors, ScreenSubjects(anonymous, failure_policy_,
+                                                  "identify_screen", report));
+  }
   connectome::GroupMatrix screened;
   const connectome::GroupMatrix* target = &anonymous;
   if (survivors.size() < anonymous.num_subjects()) {
@@ -279,7 +268,7 @@ Result<AttackResult> DeanonymizationAttack::Identify(
 
 Result<AttackResult> DeanonymizationAttack::IdentifyStreamed(
     const connectome::MatrixStore& anonymous,
-    const connectome::StreamOptions& stream, BatchReport* report) const {
+    const connectome::StreamOptions& /*stream*/, BatchReport* report) const {
   trace::ScopedEnable trace_enable(trace_.enabled);
   fault::ScopedSchedule fault_schedule(fault_.schedule);
   NP_RETURN_IF_ERROR(fault_schedule.status());
@@ -295,23 +284,15 @@ Result<AttackResult> DeanonymizationAttack::IdentifyStreamed(
         "on %zu — datasets must share a parcellation",
         anonymous.num_features(), full_feature_count_));
   }
-  std::vector<std::size_t> survivors;
-  NP_ASSIGN_OR_RETURN(
-      survivors, ScreenSubjectsStreamed(anonymous, stream.window_cols,
-                                        failure_policy_, "identify_screen",
-                                        report));
-  std::optional<connectome::SubsetColumnsStore> screened;
-  const connectome::MatrixStore* target = &anonymous;
-  if (survivors.size() < anonymous.num_subjects()) {
-    auto subset = connectome::SubsetColumnsStore::Create(anonymous, survivors);
-    if (!subset.ok()) return subset.status();
-    screened = std::move(subset).value();
-    target = &*screened;
+  connectome::GroupMatrix reduced;
+  {
+    NP_TRACE_SCOPE("attack.identify.screen");
+    NP_RETURN_IF_ERROR(ScanStore(anonymous, failure_policy_,
+                                 "identify_screen", report,
+                                 selected_features_, &reduced)
+                           .status());
   }
-  auto reduced =
-      GatherFeatureRows(*target, selected_features_, stream.window_cols);
-  if (!reduced.ok()) return reduced.status();
-  return IdentifyReduced(*reduced);
+  return IdentifyReduced(reduced);
 }
 
 Result<AttackResult> DeanonymizationAttack::IdentifyReduced(

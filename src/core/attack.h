@@ -100,8 +100,9 @@ class DeanonymizationAttack {
                                 BatchReport* report = nullptr) const;
 
   /// Out-of-core Identify: bitwise-identical AttackResult to Identify of
-  /// the materialized store; only the selected feature rows and one
-  /// column window at a time are held in RAM.
+  /// the materialized store. One pass reads the store a column at a time,
+  /// screening and gathering the selected rows, so only those rows and one
+  /// column are held in RAM whatever `stream.window_cols` says.
   Result<AttackResult> IdentifyStreamed(
       const connectome::MatrixStore& anonymous,
       const connectome::StreamOptions& stream = {},

@@ -273,8 +273,11 @@ Result<IdentificationIndex> IdentificationIndex::OpenFromSnapshot(
       !cursor.Read(&staleness) || !cursor.Read(&dim)) {
     return Status::CorruptData("truncated index-snapshot payload: " + path);
   }
+  // `dim` feature rows follow as u64s; checking that they fit in the
+  // payload bounds the allocation below by the file's size.
   if (feature_count == 0 || feature_count > kMaxSnapshotFeatures ||
-      retain > 1 || dim < 2 || dim > feature_count) {
+      retain > 1 || dim < 2 || dim > feature_count ||
+      dim > cursor.remaining() / sizeof(std::uint64_t)) {
     return Status::CorruptData("implausible index-snapshot metadata: " +
                                path);
   }

@@ -1,7 +1,10 @@
 // Tests for leverage scores, randomized row sampling (Algorithm 1), the
 // matcher, and the DeanonymizationAttack facade.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -548,6 +551,99 @@ TEST_F(AttackTest, SketchModeMatchesExactIdentificationRate) {
   EXPECT_EQ(sketch_attack->selected_features().size(), 60u);
   EXPECT_GE(exact_result->accuracy, 0.9);
   EXPECT_GE(sketch_result->accuracy, exact_result->accuracy);
+}
+
+// The column-order screen the attack used before its row-order sweep,
+// kept as the oracle: subject j survives iff every feature of column j is
+// finite.
+std::vector<std::size_t> ColumnOrderScreen(const connectome::GroupMatrix& g,
+                                           std::vector<std::size_t>* bad) {
+  std::vector<std::size_t> survivors;
+  for (std::size_t j = 0; j < g.num_subjects(); ++j) {
+    bool finite = true;
+    for (std::size_t i = 0; i < g.num_features() && finite; ++i) {
+      finite = std::isfinite(g.data()(i, j));
+    }
+    (finite ? survivors : *bad).push_back(j);
+  }
+  return survivors;
+}
+
+// Random non-finite cells (NaN, +inf, -inf), edge rows included.
+connectome::GroupMatrix PoisonRandomCells(const connectome::GroupMatrix& g,
+                                          Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kinds[] = {std::nan(""), kInf, -kInf};
+  connectome::GroupMatrix poisoned = g;
+  const std::size_t m = g.num_features();
+  const std::uint64_t cells = rng.UniformInt(5);
+  for (std::uint64_t c = 0; c < cells; ++c) {
+    const std::uint64_t edge = rng.UniformInt(3);
+    const std::size_t i = edge == 0   ? 0
+                          : edge == 1 ? m - 1
+                                      : rng.UniformInt(m);
+    const std::size_t j = rng.UniformInt(g.num_subjects());
+    poisoned.mutable_data()(i, j) = kinds[rng.UniformInt(3)];
+  }
+  return poisoned;
+}
+
+void ExpectReportMatchesOracle(const BatchReport& report,
+                               const connectome::GroupMatrix& g,
+                               const std::vector<std::size_t>& bad,
+                               const std::string& stage) {
+  EXPECT_EQ(report.attempted, g.num_subjects());
+  ASSERT_EQ(report.failed.size(), bad.size());
+  for (std::size_t k = 0; k < bad.size(); ++k) {
+    const BatchItemReport& item = report.failed[k];
+    EXPECT_EQ(item.index, bad[k]);
+    EXPECT_EQ(item.id, g.subject_ids()[bad[k]]);
+    EXPECT_EQ(item.stage, stage);
+    EXPECT_EQ(item.status.code(), StatusCode::kCorruptData);
+  }
+}
+
+TEST_F(AttackTest, RowOrderScreenMatchesColumnOrderOracle) {
+  AttackOptions options;
+  options.num_features = 40;
+  options.parallel.num_threads = 1;
+  options.failure_policy = FailurePolicy::SkipAndReport();
+  const auto attack = DeanonymizationAttack::Fit(known_, options);
+  ASSERT_TRUE(attack.ok()) << attack.status();
+  Rng rng(2024);
+  for (int trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const connectome::GroupMatrix anon = PoisonRandomCells(anonymous_, rng);
+    std::vector<std::size_t> bad;
+    const std::vector<std::size_t> survivors = ColumnOrderScreen(anon, &bad);
+    BatchReport report;
+    const auto got = attack->Identify(anon, &report);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ExpectReportMatchesOracle(report, anon, bad, "identify_screen");
+    const auto clean = anonymous_.RestrictToSubjects(survivors);
+    ASSERT_TRUE(clean.ok());
+    const auto want = attack->Identify(*clean);
+    ASSERT_TRUE(want.ok());
+    ASSERT_EQ(got->similarity.size(), want->similarity.size());
+    for (std::size_t k = 0; k < want->similarity.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got->similarity.data()[k]),
+                std::bit_cast<std::uint64_t>(want->similarity.data()[k]));
+    }
+
+    const connectome::GroupMatrix known = PoisonRandomCells(known_, rng);
+    bad.clear();
+    const std::vector<std::size_t> known_survivors =
+        ColumnOrderScreen(known, &bad);
+    BatchReport fit_report;
+    const auto fit = DeanonymizationAttack::Fit(known, options, &fit_report);
+    ASSERT_TRUE(fit.ok()) << fit.status();
+    ExpectReportMatchesOracle(fit_report, known, bad, "fit_screen");
+    const auto known_clean = known_.RestrictToSubjects(known_survivors);
+    ASSERT_TRUE(known_clean.ok());
+    const auto fit_want = DeanonymizationAttack::Fit(*known_clean, options);
+    ASSERT_TRUE(fit_want.ok());
+    EXPECT_EQ(fit->selected_features(), fit_want->selected_features());
+  }
 }
 
 }  // namespace

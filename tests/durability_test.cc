@@ -22,9 +22,15 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
+#endif
+
 #include "connectome/matrix_store.h"
 #include "service/identification_index.h"
 #include "service/synthetic_gallery.h"
+#include "util/crc32c.h"
+#include "util/endian.h"
 #include "util/fault.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -514,6 +520,56 @@ TEST_F(DurableIndexTest, CorruptSnapshotIsDetected) {
   }
   EXPECT_EQ(IdentificationIndex::OpenDurable(durability).status().code(),
             StatusCode::kCorruptData);
+}
+
+// Process peak RSS in KiB (Linux units); 0 where getrusage is missing.
+long PeakRssKib() {
+#if defined(__unix__) || defined(__APPLE__)
+  struct rusage usage;
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+#if defined(__APPLE__)
+  return usage.ru_maxrss / 1024;
+#else
+  return usage.ru_maxrss;
+#endif
+#else
+  return 0;
+#endif
+}
+
+TEST(DurabilityTest, SnapshotWithOversizedFeatureCountFailsWithoutAllocating) {
+  // A 45-byte snapshot with a valid CRC whose metadata promises 2^24
+  // selected feature rows (128 MiB of indices) but carries none of them.
+  // The row count must be checked against the payload before anything is
+  // sized from it.
+  const std::uint64_t huge = std::uint64_t{1} << 24;
+  std::vector<std::uint8_t> payload;
+  AppendLE(payload, huge);              // feature_count
+  AppendLE(payload, std::uint8_t{1});   // retain (IndexOptions default)
+  AppendLE(payload, std::uint64_t{0});  // staleness
+  AppendLE(payload, huge);              // dim
+  std::vector<std::uint8_t> image = {'N', 'P', 'I', 'X'};
+  AppendLE(image, std::uint32_t{1});  // version
+  AppendLE(image, static_cast<std::uint64_t>(payload.size()));
+  AppendLE(image, crc32c::Value(payload.data(), payload.size()));
+  image.insert(image.end(), payload.begin(), payload.end());
+  ASSERT_EQ(image.size(), 45u);
+  const std::string path = FreshDir("durability_huge_dim") + ".npix";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(image.data()),
+              static_cast<std::streamsize>(image.size()));
+    ASSERT_TRUE(out.good());
+  }
+
+  const long before_kib = PeakRssKib();
+  const auto opened = IdentificationIndex::OpenFromSnapshot(path, {});
+  const long growth_kib = PeakRssKib() - before_kib;
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruptData)
+      << opened.status();
+  EXPECT_LT(growth_kib, 16 * 1024) << "peak RSS grew by " << growth_kib
+                                   << " KiB decoding a 45-byte snapshot";
+  std::filesystem::remove(path);
 }
 
 TEST_F(DurableIndexTest, StaleSnapshotTempIsSweptOnOpen) {

@@ -9,6 +9,8 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -596,6 +598,89 @@ TEST(FaultInjectionOutOfCoreTest, StreamPointNanIsScreenedLikeCorruptData) {
   EXPECT_EQ(report.failed[0].index, 1u);
   EXPECT_EQ(report.failed[0].stage, "fit_screen");
   EXPECT_EQ(report.failed[0].status.code(), StatusCode::kCorruptData);
+}
+
+// IdentifyStreamed against a file-backed copy of session 1: fits in RAM
+// on session 0 under `policy` and `schedule`, so only the streamed
+// Identify meets the `io.stream` rules.
+struct StreamedIdentifyFixture {
+  connectome::GroupMatrix anonymous;
+  std::unique_ptr<connectome::FileMatrixStore> store;
+  std::optional<core::DeanonymizationAttack> attack;
+};
+
+StreamedIdentifyFixture MakeStreamedIdentify(const std::string& file,
+                                             const FailurePolicy& policy,
+                                             const std::string& schedule) {
+  StreamedIdentifyFixture f;
+  const auto gallery = ServiceGallery();
+  auto known = service::MakeSyntheticGallerySlice(gallery, 0, 0, 6);
+  auto anonymous = service::MakeSyntheticGallerySlice(gallery, 1, 0, 6);
+  EXPECT_TRUE(known.ok() && anonymous.ok());
+  f.anonymous = std::move(anonymous).value();
+  const std::string path = OutOfCoreTempPath(file);
+  EXPECT_TRUE(connectome::WriteGroupMatrix(path, f.anonymous).ok());
+  auto store = connectome::FileMatrixStore::Open(path);
+  EXPECT_TRUE(store.ok()) << store.status();
+  f.store = std::move(store).value();
+  core::AttackOptions options;
+  options.num_features = 12;
+  options.failure_policy = policy;
+  options.fault.schedule = schedule;
+  auto attack = core::DeanonymizationAttack::Fit(*known, options);
+  EXPECT_TRUE(attack.ok()) << attack.status();
+  f.attack = std::move(attack).value();
+  return f;
+}
+
+TEST(FaultInjectionOutOfCoreTest, StreamErrorPropagatesFromIdentifyStreamed) {
+  // The store failed, not a subject: every policy returns the error.
+  for (const FailurePolicy& policy :
+       {FailurePolicy::FailFast(), FailurePolicy::SkipAndReport(),
+        FailurePolicy::Quorum(0.5)}) {
+    const auto f = MakeStreamedIdentify(
+        "fault_identify_error.npgm", policy,
+        "io.stream#2=error:IOError:stream died (injected)");
+    BatchReport report;
+    const auto result = f.attack->IdentifyStreamed(*f.store, {}, &report);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kIOError);
+    EXPECT_EQ(result.status().message(), "stream died (injected)");
+  }
+}
+
+TEST(FaultInjectionOutOfCoreTest, StreamNanIsScreenedByIdentifyStreamed) {
+  const auto f = MakeStreamedIdentify(
+      "fault_identify_nan.npgm", FailurePolicy::SkipAndReport(),
+      "io.stream#1=nan");
+  BatchReport report;
+  const auto result = f.attack->IdentifyStreamed(*f.store, {}, &report);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(report.attempted, 6u);
+  ASSERT_EQ(report.failed.size(), 1u);
+  EXPECT_EQ(report.failed[0].index, 1u);
+  EXPECT_EQ(report.failed[0].stage, "identify_screen");
+  EXPECT_EQ(report.failed[0].status.code(), StatusCode::kCorruptData);
+  EXPECT_EQ(result->predicted_index.size(), 5u);
+}
+
+TEST(FaultInjectionOutOfCoreTest, IdentifyStreamedReadsEachColumnOnce) {
+  // The scan meets `io.stream` once per column per call, so a rule aimed
+  // at a column's second arrival never fires and the result is clean.
+  const auto f = MakeStreamedIdentify(
+      "fault_identify_once.npgm", FailurePolicy::SkipAndReport(),
+      "io.stream#1@2=nan");
+  BatchReport report;
+  const auto result = f.attack->IdentifyStreamed(*f.store, {}, &report);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(report.failed.empty());
+  const auto clean = f.attack->Identify(f.anonymous);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  ASSERT_EQ(result->similarity.size(), clean->similarity.size());
+  for (std::size_t k = 0; k < clean->similarity.size(); ++k) {
+    EXPECT_TRUE(std::isfinite(result->similarity.data()[k]));
+    EXPECT_EQ(result->similarity.data()[k], clean->similarity.data()[k]);
+  }
 }
 
 TEST(FaultInjectionOutOfCoreTest, SpillWriteFailureLeavesIndexUntouched) {

@@ -4,8 +4,12 @@
 // connectome/matrix_store.h), and the spill / file-backed stores must
 // round-trip bit-exactly and fail cleanly when their files disappear.
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -65,7 +69,10 @@ void ExpectBitIdentical(const linalg::Matrix& a, const linalg::Matrix& b,
   ASSERT_EQ(a.cols(), b.cols()) << what;
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < a.cols(); ++j) {
-      ASSERT_EQ(a(i, j), b(i, j)) << what << " at (" << i << ", " << j << ")";
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a(i, j)),
+                std::bit_cast<std::uint64_t>(b(i, j)))
+          << what << " at (" << i << ", " << j << "): " << a(i, j) << " vs "
+          << b(i, j);
     }
   }
 }
@@ -327,41 +334,118 @@ TEST_F(StreamedAttackTest, FitAndIdentifyMatchInRamBitwise) {
   }
 }
 
+// Poisons the first and last subject and the first and last feature row
+// with each kind of non-finite value.
+connectome::GroupMatrix PoisonEdges(connectome::GroupMatrix group,
+                                    double first, double last, double mid) {
+  linalg::Matrix& data = group.mutable_data();
+  const std::size_t m = data.rows();
+  const std::size_t n = data.cols();
+  data(0, 0) = first;
+  data(m - 1, n - 1) = last;
+  data(m / 2, n / 2) = mid;
+  return group;
+}
+
 TEST_F(StreamedAttackTest, ScreeningReportsMatchUnderSkipAndReport) {
-  // Poison one known and one anonymous column; the streamed screen must
-  // produce the same report entries and the same surviving outputs.
-  connectome::GroupMatrix bad_known = known_;
-  connectome::GroupMatrix bad_anon = anonymous_;
-  bad_known.mutable_data()(3, 2) = std::nan("");
-  bad_anon.mutable_data()(7, 4) = std::nan("");
+  // Non-finite values in feature rows 0 and m-1 of subjects 0 and n-1
+  // (plus one interior cell): the streamed screen must produce the same
+  // report entries and the same surviving outputs, bit for bit, at every
+  // window size.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const connectome::GroupMatrix bad_known =
+      PoisonEdges(known_, kInf, std::nan(""), -kInf);
+  const connectome::GroupMatrix bad_anon =
+      PoisonEdges(anonymous_, -kInf, kInf, std::nan(""));
 
   core::AttackOptions options;
   options.num_features = 24;
   options.parallel.num_threads = 1;
   options.failure_policy = FailurePolicy::SkipAndReport();
-  BatchReport fit_report_ram, fit_report_stream;
+  BatchReport fit_report_ram;
   const auto oracle =
       core::DeanonymizationAttack::Fit(bad_known, options, &fit_report_ram);
   ASSERT_TRUE(oracle.ok()) << oracle.status();
+  ASSERT_EQ(fit_report_ram.failed.size(), 3u);
+  BatchReport id_report_ram;
+  const auto oracle_result = oracle->Identify(bad_anon, &id_report_ram);
+  ASSERT_TRUE(oracle_result.ok()) << oracle_result.status();
+  ASSERT_EQ(id_report_ram.failed.size(), 3u);
+  EXPECT_EQ(id_report_ram.failed.front().index, 0u);
+  EXPECT_EQ(id_report_ram.failed.back().index, bad_anon.num_subjects() - 1);
 
   const auto known_store = OpenFileStore(bad_known, "ooc_screen_known.npgm");
   const auto anon_store = OpenFileStore(bad_anon, "ooc_screen_anon.npgm");
-  connectome::StreamOptions stream;
-  stream.window_cols = 3;
-  const auto attack = core::DeanonymizationAttack::FitStreamed(
-      *known_store, options, stream, &fit_report_stream);
-  ASSERT_TRUE(attack.ok()) << attack.status();
-  ExpectSameReport(fit_report_ram, fit_report_stream);
-  EXPECT_EQ(attack->selected_features(), oracle->selected_features());
+  for (const std::size_t window :
+       {std::size_t{1}, std::size_t{3}, std::size_t{0}}) {
+    const std::string where = "window " + std::to_string(window);
+    connectome::StreamOptions stream;
+    stream.window_cols = window;
+    BatchReport fit_report_stream;
+    const auto attack = core::DeanonymizationAttack::FitStreamed(
+        *known_store, options, stream, &fit_report_stream);
+    ASSERT_TRUE(attack.ok()) << attack.status();
+    ExpectSameReport(fit_report_ram, fit_report_stream);
+    EXPECT_EQ(attack->selected_features(), oracle->selected_features())
+        << where;
 
-  BatchReport id_report_ram, id_report_stream;
-  const auto oracle_result = oracle->Identify(bad_anon, &id_report_ram);
-  const auto result =
-      attack->IdentifyStreamed(*anon_store, stream, &id_report_stream);
-  ASSERT_TRUE(oracle_result.ok() && result.ok());
-  ExpectSameReport(id_report_ram, id_report_stream);
-  EXPECT_EQ(result->predicted_ids, oracle_result->predicted_ids);
-  EXPECT_EQ(result->accuracy, oracle_result->accuracy);
+    BatchReport id_report_stream;
+    const auto result =
+        attack->IdentifyStreamed(*anon_store, stream, &id_report_stream);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ExpectSameReport(id_report_ram, id_report_stream);
+    ExpectBitIdentical(result->similarity, oracle_result->similarity,
+                       "similarity " + where);
+    EXPECT_EQ(result->predicted_index, oracle_result->predicted_index)
+        << where;
+    EXPECT_EQ(result->predicted_ids, oracle_result->predicted_ids) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result->accuracy),
+              std::bit_cast<std::uint64_t>(oracle_result->accuracy))
+        << where;
+  }
+}
+
+TEST_F(StreamedAttackTest, FailFastReturnsTheLowestBadSubjectOnBothPaths) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Subject 0 is bad only in its last feature row, so a screen that
+  // stopped early or skipped row m-1 would name subject n-1 instead.
+  connectome::GroupMatrix bad_known = known_;
+  bad_known.mutable_data()(bad_known.num_features() - 1, 0) = kInf;
+  bad_known.mutable_data()(0, bad_known.num_subjects() - 1) = std::nan("");
+  connectome::GroupMatrix bad_anon = anonymous_;
+  bad_anon.mutable_data()(bad_anon.num_features() - 1, 0) = std::nan("");
+  bad_anon.mutable_data()(0, bad_anon.num_subjects() - 1) = -kInf;
+
+  core::AttackOptions options;
+  options.num_features = 24;
+  options.parallel.num_threads = 1;
+  const auto known_store = OpenFileStore(bad_known, "ooc_failfast_known.npgm");
+  const auto anon_store = OpenFileStore(bad_anon, "ooc_failfast_anon.npgm");
+  const std::string want = "subject " + known_.subject_ids()[0] +
+                           " has non-finite feature values";
+
+  const auto ram_fit = core::DeanonymizationAttack::Fit(bad_known, options);
+  ASSERT_EQ(ram_fit.status().code(), StatusCode::kCorruptData);
+  EXPECT_EQ(ram_fit.status().message(), want);
+  const auto attack = core::DeanonymizationAttack::Fit(known_, options);
+  ASSERT_TRUE(attack.ok()) << attack.status();
+  const auto ram_identify = attack->Identify(bad_anon);
+  ASSERT_EQ(ram_identify.status().code(), StatusCode::kCorruptData);
+  EXPECT_EQ(ram_identify.status().message(),
+            "subject " + anonymous_.subject_ids()[0] +
+                " has non-finite feature values");
+  for (const std::size_t window :
+       {std::size_t{1}, std::size_t{3}, std::size_t{0}}) {
+    connectome::StreamOptions stream;
+    stream.window_cols = window;
+    const auto fit = core::DeanonymizationAttack::FitStreamed(
+        *known_store, options, stream);
+    EXPECT_EQ(fit.status().code(), ram_fit.status().code());
+    EXPECT_EQ(fit.status().message(), ram_fit.status().message());
+    const auto identify = attack->IdentifyStreamed(*anon_store, stream);
+    EXPECT_EQ(identify.status().code(), ram_identify.status().code());
+    EXPECT_EQ(identify.status().message(), ram_identify.status().message());
+  }
 }
 
 // --- Service enrollment parity ----------------------------------------------

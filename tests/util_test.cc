@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <set>
 
 #include <cstdint>
@@ -277,6 +280,83 @@ TEST(EndianTest, AppendLEAndStreamReadLERoundTrip) {
   EXPECT_EQ(d, -1.25);
   // Short read: nothing left in the stream.
   EXPECT_FALSE(ReadLE(in, u));
+}
+
+// The portable byte-at-a-time encoding: the oracle for WriteLE / ReadLE,
+// whatever fast path the host takes.
+template <typename U>
+void OracleEncodeLE(U bits, std::uint8_t* dst) {
+  for (std::size_t i = 0; i < sizeof(U); ++i) {
+    dst[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  }
+}
+
+template <typename T>
+class EndianOracleTest : public ::testing::Test {};
+
+using EndianScalarTypes =
+    ::testing::Types<std::int8_t, std::uint8_t, std::int16_t, std::uint16_t,
+                     std::int32_t, std::uint32_t, std::int64_t, std::uint64_t,
+                     float, double>;
+TYPED_TEST_SUITE(EndianOracleTest, EndianScalarTypes);
+
+// Random bit patterns plus, for floating types, the values a value-based
+// decode could mangle: quiet and signalling NaNs with payloads, signed
+// zeros, denormals and infinities.
+template <typename T>
+std::vector<typename internal::UintBytes<sizeof(T)>::type> EndianPatterns() {
+  using U = typename internal::UintBytes<sizeof(T)>::type;
+  std::vector<U> patterns = {U{0}, static_cast<U>(~U{0})};
+  Rng rng(0xe4d1a9u + sizeof(T));
+  for (int i = 0; i < 256; ++i) patterns.push_back(static_cast<U>(rng.Next64()));
+  if constexpr (std::is_same_v<T, float>) {
+    for (std::uint32_t bits :
+         {0x7fc00000u, 0x7fc12345u, 0xffc00001u,  // quiet NaNs
+          0x7f800001u, 0x7fa5a5a5u, 0xff800003u,  // signalling NaNs
+          0x00000000u, 0x80000000u,               // +-0
+          0x00000001u, 0x007fffffu, 0x80000001u,  // denormals
+          0x7f800000u, 0xff800000u}) {            // +-inf
+      patterns.push_back(bits);
+    }
+  } else if constexpr (std::is_same_v<T, double>) {
+    for (std::uint64_t bits :
+         {0x7ff8000000000000ull, 0x7ff8deadbeef0001ull,
+          0xfff8000000000001ull,  // quiet NaNs
+          0x7ff0000000000001ull, 0x7ff4cafef00d0000ull,
+          0xfff0000000000003ull,  // signalling NaNs
+          0x0000000000000000ull, 0x8000000000000000ull,  // +-0
+          0x0000000000000001ull, 0x000fffffffffffffull,
+          0x8000000000000001ull,  // denormals
+          0x7ff0000000000000ull, 0xfff0000000000000ull}) {  // +-inf
+      patterns.push_back(bits);
+    }
+  }
+  return patterns;
+}
+
+TYPED_TEST(EndianOracleTest, ReadAndWriteMatchTheByteLoopAtEveryOffset) {
+  using T = TypeParam;
+  using U = typename internal::UintBytes<sizeof(T)>::type;
+  for (const U bits : EndianPatterns<T>()) {
+    std::uint8_t want[sizeof(T)];
+    OracleEncodeLE(bits, want);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      std::uint8_t buf[16];
+      std::memset(buf, 0xa5, sizeof(buf));
+      WriteLE(std::bit_cast<T>(bits), buf + offset);
+      ASSERT_EQ(std::memcmp(buf + offset, want, sizeof(T)), 0)
+          << "WriteLE bits " << std::hex << +bits << " offset " << offset;
+      for (std::size_t i = 0; i < sizeof(buf); ++i) {
+        if (i < offset || i >= offset + sizeof(T)) {
+          ASSERT_EQ(buf[i], 0xa5) << "WriteLE wrote outside its bytes";
+        }
+      }
+      std::memset(buf, 0x5a, sizeof(buf));
+      std::memcpy(buf + offset, want, sizeof(T));
+      ASSERT_EQ(std::bit_cast<U>(ReadLE<T>(buf + offset)), bits)
+          << "ReadLE bits " << std::hex << +bits << " offset " << offset;
+    }
+  }
 }
 
 }  // namespace
