@@ -83,7 +83,8 @@ Status FileMatrixStore::ReadTile(std::size_t row0, std::size_t row_count,
       if (injection.action == fault::Action::kError) return injection.status;
     }
     NP_RETURN_IF_ERROR(ReadColumnBytes(j, row0, row_count));
-    double* dst = out->data() + c;  // A one-column tile is contiguous.
+    // `dst` walks column c of the row-major tile at a stride of col_count.
+    double* dst = out->data() + c;
     if (injection.action == fault::Action::kCorrupt) {
       fault::ScrambleBytes(injection.seed, encoded_.data(), encoded_.size());
     } else if (injection.action != fault::Action::kNone) {

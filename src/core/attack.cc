@@ -59,42 +59,32 @@ Result<std::vector<std::size_t>> ScreenSubjects(
   return ResolveScreen(finite, matrix.subject_ids(), policy, stage, report);
 }
 
-// The streamed screen and gather in one pass: reads `store` one
-// contiguous column at a time, so one column is resident whatever the
-// window. Screens exactly as ScreenSubjects does and, when `reduced` is
-// set, fills it with the feature `rows` of the survivors — the values
-// RestrictToSubjects + RestrictToFeatures give on the materialized
-// matrix. Store read errors propagate under every policy.
-Result<std::vector<std::size_t>> ScanStore(
-    const connectome::MatrixStore& store, const FailurePolicy& policy,
-    const char* stage, BatchReport* report,
-    const std::vector<std::size_t>& rows = {},
-    connectome::GroupMatrix* reduced = nullptr) {
+// One pass over `store`, one contiguous column at a time, so one column
+// is resident whatever the window. Per subject it records whether the
+// feature column is all finite (the ScreenSubjects test) and copies out
+// the values at feature `rows`. Store read errors propagate.
+struct ColumnScan {
+  std::vector<unsigned char> finite;
+  std::vector<linalg::Vector> gathered;
+};
+
+Result<ColumnScan> ScanColumns(const connectome::MatrixStore& store,
+                               const std::vector<std::size_t>& rows) {
   const std::size_t n = store.num_subjects();
-  std::vector<unsigned char> finite(n);
-  std::vector<linalg::Vector> gathered(reduced != nullptr ? n : 0);
+  ColumnScan scan;
+  scan.finite.resize(n);
+  scan.gathered.assign(n, linalg::Vector(rows.size()));
   linalg::Matrix column;
   for (std::size_t j = 0; j < n; ++j) {
     NP_RETURN_IF_ERROR(store.ReadColumns(j, 1, &column));
     const double* values = column.data();
-    finite[j] = std::all_of(values, values + column.size(),
-                            [](double x) { return std::isfinite(x); });
-    if (reduced == nullptr) continue;
-    gathered[j].resize(rows.size());
+    scan.finite[j] = std::all_of(values, values + column.size(),
+                                 [](double x) { return std::isfinite(x); });
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      gathered[j][i] = values[rows[i]];
+      scan.gathered[j][i] = values[rows[i]];
     }
   }
-  std::vector<std::size_t> survivors;
-  NP_ASSIGN_OR_RETURN(survivors, ResolveScreen(finite, store.subject_ids(),
-                                               policy, stage, report));
-  if (reduced == nullptr) return survivors;
-  NP_ASSIGN_OR_RETURN(*reduced, connectome::GroupMatrix::FromFeatureColumns(
-                                    gathered, store.subject_ids()));
-  if (survivors.size() < n) {
-    NP_ASSIGN_OR_RETURN(*reduced, reduced->RestrictToSubjects(survivors));
-  }
-  return survivors;
+  return scan;
 }
 
 }  // namespace
@@ -182,8 +172,12 @@ Result<DeanonymizationAttack> DeanonymizationAttack::FitStreamed(
   std::vector<std::size_t> survivors;
   {
     NP_TRACE_SCOPE("attack.fit.screen");
-    NP_ASSIGN_OR_RETURN(survivors, ScanStore(known, options.failure_policy,
-                                             "fit_screen", report));
+    ColumnScan scan;
+    NP_ASSIGN_OR_RETURN(scan, ScanColumns(known, {}));
+    NP_ASSIGN_OR_RETURN(survivors,
+                        ResolveScreen(scan.finite, known.subject_ids(),
+                                      options.failure_policy, "fit_screen",
+                                      report));
   }
   std::optional<connectome::SubsetColumnsStore> screened_known;
   const connectome::MatrixStore* fit_known = &known;
@@ -213,14 +207,11 @@ Result<DeanonymizationAttack> DeanonymizationAttack::FitStreamed(
         "DeanonymizationAttack: fewer than 2 usable features");
   }
   NP_TRACE_SCOPE("attack.fit.restrict");
-  // Every column passed the screen above, so fail-fast here only fires if
-  // a column reads back differently (an `io.stream` schedule can do that)
-  // — never letting non-finite values into the reduced matrix.
-  NP_RETURN_IF_ERROR(ScanStore(*fit_known, FailurePolicy::FailFast(),
-                               "fit_screen", nullptr,
-                               attack.selected_features_,
-                               &attack.reduced_known_)
-                         .status());
+  ColumnScan scan;
+  NP_ASSIGN_OR_RETURN(scan, ScanColumns(*fit_known, attack.selected_features_));
+  NP_ASSIGN_OR_RETURN(attack.reduced_known_,
+                      connectome::GroupMatrix::FromFeatureColumns(
+                          scan.gathered, fit_known->subject_ids()));
   attack.full_feature_count_ = known.num_features();
   attack.parallel_ = options.parallel;
   attack.trace_ = options.trace;
@@ -284,14 +275,25 @@ Result<AttackResult> DeanonymizationAttack::IdentifyStreamed(
         "on %zu — datasets must share a parcellation",
         anonymous.num_features(), full_feature_count_));
   }
-  connectome::GroupMatrix reduced;
+  ColumnScan scan;
+  std::vector<std::size_t> survivors;
   {
     NP_TRACE_SCOPE("attack.identify.screen");
-    NP_RETURN_IF_ERROR(ScanStore(anonymous, failure_policy_,
-                                 "identify_screen", report,
-                                 selected_features_, &reduced)
-                           .status());
+    NP_ASSIGN_OR_RETURN(scan, ScanColumns(anonymous, selected_features_));
+    NP_ASSIGN_OR_RETURN(survivors,
+                        ResolveScreen(scan.finite, anonymous.subject_ids(),
+                                      failure_policy_, "identify_screen",
+                                      report));
   }
+  std::vector<linalg::Vector> columns;
+  std::vector<std::string> ids;
+  for (std::size_t j : survivors) {
+    columns.push_back(std::move(scan.gathered[j]));
+    ids.push_back(anonymous.subject_ids()[j]);
+  }
+  connectome::GroupMatrix reduced;
+  NP_ASSIGN_OR_RETURN(reduced, connectome::GroupMatrix::FromFeatureColumns(
+                                   columns, std::move(ids)));
   return IdentifyReduced(reduced);
 }
 
